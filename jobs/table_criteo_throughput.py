@@ -20,9 +20,12 @@ def main(spark, *, n_samples=120_000):
     for (ps, st), grp in df.groupby(["partition_size", "storage_threads"]):
         print(f"\n-- partition_size={ps:,}  storage_threads={st} --")
         print(f"{'w/pf/par':>12}  {'throughput':>12}")
-        for _, r in grp.iterrows():
-            pf = "0/-" if r.prefetched_partitions == 0 else f"{r.prefetched_partitions}/{r.parallel_prefetch}"
-            print(f"{r.workers:>6}/{pf:<6}  {r.throughput:>12,.0f}")
+        # itertuples keeps each column's dtype (iterrows upcasts the
+        # whole row to float, printing "4.0/6.0/2.0")
+        for r in grp.itertuples(index=False):
+            w, pf, par = int(r.workers), int(r.prefetched_partitions), int(r.parallel_prefetch)
+            cell = f"{pf}/-" if pf == 0 else f"{pf}/{par}"
+            print(f"{w:>6}/{cell:<6}  {r.throughput:>12,.0f}")
     return df
 
 

@@ -14,6 +14,7 @@ from repro.storage.file_wrappers import (
 )
 from repro.storage.filesystem import LocalFilesystemWrapper
 from repro.storage.local_dataset import LocalDataset
+from repro.storage.payloads import Payloads
 from repro.storage.storage import Storage
 
 __all__ = [
@@ -22,5 +23,6 @@ __all__ = [
     "SingleSampleFileWrapper",
     "LocalFilesystemWrapper",
     "LocalDataset",
+    "Payloads",
     "Storage",
 ]

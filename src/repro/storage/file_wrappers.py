@@ -1,9 +1,11 @@
 """File wrappers: extract individual samples + labels from files (§4.1.4).
 
 Each ingested file contains one or more samples. The wrapper knows the
-file format and returns raw sample payload bytes; converting bytes to
-model input is the pipeline's ``bytes_parser_function`` (§3.5), not the
-wrapper's job. Three wrappers, as in the paper:
+file format and returns the raw sample payloads as one ``Payloads``
+buffer (a ``Sequence[bytes]`` over one contiguous ``np.uint8`` array);
+converting payloads to model input is the pipeline's
+``bytes_parser_function`` (§3.5), not the wrapper's job. Three wrappers,
+as in the paper:
 
 - ``BinaryFileWrapper``   — fixed-row-size binary files (recommender data)
 - ``CsvFileWrapper``      — variable-length CSV rows
@@ -18,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.storage.filesystem import FilesystemWrapper, LocalFilesystemWrapper
+from repro.storage.payloads import Payloads
 
 
 class FileWrapper(ABC):
@@ -31,12 +34,13 @@ class FileWrapper(ABC):
         """Number of samples stored in the file at ``path``."""
 
     @abstractmethod
-    def get_samples(self, path: str, indices: Sequence[int]) -> list[bytes]:
-        """Payload bytes for the samples at ``indices`` within ``path``."""
+    def get_samples(self, path: str, indices: Sequence[int]) -> Payloads:
+        """Payloads of the samples at ``indices`` within ``path``, in
+        request order."""
 
     @abstractmethod
-    def get_all_samples(self, path: str) -> list[bytes]:
-        """Payload bytes for every sample in ``path``, in file order."""
+    def get_all_samples(self, path: str) -> Payloads:
+        """Payloads of every sample in ``path``, in file order."""
 
     @abstractmethod
     def get_labels(self, path: str) -> np.ndarray:
@@ -63,6 +67,7 @@ class BinaryFileWrapper(FileWrapper):
         super().__init__(fs)
         self.record_dtype = np.dtype(record_dtype)
         self.label_field = label_field
+        self._counts: dict[str, int] = {}  # path -> record count
         if label_field not in (self.record_dtype.names or ()):
             raise ValueError(
                 f"label field {label_field!r} not in record dtype fields "
@@ -80,43 +85,53 @@ class BinaryFileWrapper(FileWrapper):
                 f"records dtype {records.dtype} != wrapper dtype {self.record_dtype}"
             )
         self.fs.put(path, records.tobytes())
+        self._counts.pop(path, None)
 
     def get_number_of_samples(self, path: str) -> int:
-        size = self.fs.size(path)
-        if size % self.record_size:
-            raise ValueError(
-                f"{path}: size {size} not a multiple of record size {self.record_size}"
-            )
-        return size // self.record_size
+        """Record count of ``path``, cached per path: files are immutable
+        once ingested, so only the first call pays the ``stat``. Threads
+        racing on a first call store the same count, so no lock is needed
+        (and the wrapper stays picklable for Spark stages)."""
+        n = self._counts.get(path)
+        if n is None:
+            size = self.fs.size(path)
+            if size % self.record_size:
+                raise ValueError(
+                    f"{path}: size {size} not a multiple of record size {self.record_size}"
+                )
+            n = self._counts[path] = size // self.record_size
+        return n
 
-    def get_samples(self, path: str, indices: Sequence[int]) -> list[bytes]:
+    def get_samples(self, path: str, indices: Sequence[int]) -> Payloads:
         rs = self.record_size
         n = self.get_number_of_samples(path)
         idx = np.asarray(indices, dtype=np.int64)
         if len(idx) == 0:
-            return []
-        if idx.min() < 0 or idx.max() >= n:
+            return Payloads(np.empty(0, np.uint8), stride=rs)
+        lo, hi = int(idx.min()), int(idx.max()) + 1
+        if lo < 0 or hi > n:
             bad = idx[(idx < 0) | (idx >= n)][0]
             raise IndexError(f"{path}: sample index {bad} out of range [0, {n})")
-        lo, hi = int(idx.min()), int(idx.max()) + 1
-        # Dense-enough request: one read of the covering span, then
-        # in-memory slicing — a single syscall instead of one per record
-        # (the paper's buffered-ifstream optimization).
+        # Dense-enough request: one read of the covering span, then one
+        # numpy gather — a single syscall instead of one per record (the
+        # paper's buffered-ifstream optimization). A run of consecutive
+        # indices is the span itself, with no copy.
         if (hi - lo) <= 16 * len(idx):
-            span = self.fs.get_range(path, lo * rs, (hi - lo) * rs)
-            return [bytes(span[(i - lo) * rs : (i - lo + 1) * rs]) for i in idx]
-        # Sparse request: sorted per-record reads on one open handle.
-        order = np.argsort(idx, kind="stable")
-        chunks = self.fs.get_ranges(path, idx[order] * rs, rs)
-        out: list[bytes] = [b""] * len(idx)
-        for pos, payload in zip(order, chunks):
-            out[pos] = payload
-        return out
+            span = Payloads(
+                np.frombuffer(self.fs.get_range(path, lo * rs, (hi - lo) * rs), np.uint8),
+                stride=rs,
+            )
+            if hi - lo == len(idx) and (np.diff(idx) == 1).all():
+                return span
+            return span.take(idx - lo)
+        # Sparse request: per-record reads on one open handle, straight
+        # into the output buffer.
+        out = np.empty((len(idx), rs), np.uint8)
+        self.fs.read_ranges_into(path, idx * rs, out)
+        return Payloads(out, stride=rs)
 
-    def get_all_samples(self, path: str) -> list[bytes]:
-        data = self.fs.get(path)
-        rs = self.record_size
-        return [data[i : i + rs] for i in range(0, len(data), rs)]
+    def get_all_samples(self, path: str) -> Payloads:
+        return Payloads(np.frombuffer(self.fs.get(path), np.uint8), stride=self.record_size)
 
     def read_records(self, path: str) -> np.ndarray:
         """The whole file as a structured array (baseline sequential path)."""
@@ -161,12 +176,12 @@ class CsvFileWrapper(FileWrapper):
         del parts[self.label_column]
         return self.separator.join(parts).encode("utf-8")
 
-    def get_samples(self, path: str, indices: Sequence[int]) -> list[bytes]:
+    def get_samples(self, path: str, indices: Sequence[int]) -> Payloads:
         rows = self._rows(path)
-        return [self._payload(rows[i]) for i in indices]
+        return Payloads.of(self._payload(rows[i]) for i in indices)
 
-    def get_all_samples(self, path: str) -> list[bytes]:
-        return [self._payload(r) for r in self._rows(path)]
+    def get_all_samples(self, path: str) -> Payloads:
+        return Payloads.of(self._payload(r) for r in self._rows(path))
 
     def get_labels(self, path: str) -> np.ndarray:
         labels = [
@@ -192,15 +207,18 @@ class SingleSampleFileWrapper(FileWrapper):
     def get_number_of_samples(self, path: str) -> int:
         return 1
 
-    def get_samples(self, path: str, indices: Sequence[int]) -> list[bytes]:
+    def get_samples(self, path: str, indices: Sequence[int]) -> Payloads:
         for i in indices:
             if i != 0:
                 raise IndexError(f"{path}: single-sample file has no index {i}")
-        data = self.fs.get(path)
-        return [data for _ in indices]
+        payloads = self.get_all_samples(path)
+        if len(indices) == 1:
+            return payloads
+        return payloads.take(np.zeros(len(indices), np.int64))
 
-    def get_all_samples(self, path: str) -> list[bytes]:
-        return [self.fs.get(path)]
+    def get_all_samples(self, path: str) -> Payloads:
+        data = np.frombuffer(self.fs.get(path), np.uint8)
+        return Payloads(data, offsets=np.array([0, len(data)], np.int64))
 
     def get_labels(self, path: str) -> np.ndarray:
         raw = self.fs.get(path + self.LABEL_SUFFIX)

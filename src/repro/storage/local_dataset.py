@@ -15,6 +15,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.storage.file_wrappers import FileWrapper
+from repro.storage.payloads import Payloads
 
 
 class LocalDataset:
@@ -33,7 +34,7 @@ class LocalDataset:
         batch_size: int,
         num_workers: int = 1,
         bytes_parser: Callable[[bytes], np.ndarray] | None = None,
-        batch_bytes_parser: Callable[[list], np.ndarray] | None = None,
+        batch_bytes_parser: Callable[[Payloads], np.ndarray] | None = None,
         transform: Callable[[np.ndarray], np.ndarray] | None = None,
         queue_depth: int = 4,
     ) -> None:
@@ -81,7 +82,8 @@ class LocalDataset:
     FILES_PER_STEP = 64  # amortize per-file Python cost for tiny files
 
     def _worker_vectorized(self, worker_id: int, out: "queue.Queue") -> None:
-        """Vectorized sequential path: batched parses, sliced batches.
+        """Vectorized sequential path: one ``Payloads`` buffer and one
+        parser call per group of files, sliced batches.
 
         The baseline counterpart of the OnlineDataset's vectorized mode,
         so the Modyn-vs-local comparison (T2/T3) is like-for-like. Files
@@ -95,15 +97,15 @@ class LocalDataset:
         try:
             for g in range(0, len(my_files), self.FILES_PER_STEP):
                 group = my_files[g : g + self.FILES_PER_STEP]
-                payloads: list = []
-                label_parts: list[np.ndarray] = []
-                for path in group:
-                    payloads.extend(self.file_wrapper.get_all_samples(path))
-                    label_parts.append(self.file_wrapper.get_labels(path))
+                payloads = Payloads.concat(
+                    [self.file_wrapper.get_all_samples(path) for path in group]
+                )
+                labels = np.concatenate(
+                    [self.file_wrapper.get_labels(path) for path in group]
+                )
                 arr = self.batch_bytes_parser(payloads)
                 if self.transform is not None:
                     arr = self.transform(arr)
-                labels = np.concatenate(label_parts)
                 pend.append((arr, labels))
                 n_pend += len(labels)
                 while n_pend >= bs:

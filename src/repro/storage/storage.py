@@ -43,6 +43,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.storage.file_wrappers import FileWrapper
+from repro.storage.payloads import Payloads
 
 # Process-global I/O pool: the analog of the paper's bounded Postgres
 # worker pool (they configure 96 workers; we scale to local cores). All
@@ -68,21 +69,21 @@ class SampleBuffer:
 
     keys: np.ndarray  # int64
     labels: np.ndarray  # int64
-    payloads: list[bytes]
+    payloads: Payloads
 
     def __len__(self) -> int:
         return len(self.payloads)
 
     @staticmethod
     def concat(buffers: Sequence["SampleBuffer"]) -> "SampleBuffer":
-        if not buffers:
-            return SampleBuffer(
-                np.empty(0, np.int64), np.empty(0, np.int64), []
-            )
+        """One buffer holding ``buffers`` in order (payloads: one copy)."""
+        if len(buffers) == 1:
+            return buffers[0]
+        empty = [np.empty(0, np.int64)]
         return SampleBuffer(
-            np.concatenate([b.keys for b in buffers]),
-            np.concatenate([b.labels for b in buffers]),
-            [p for b in buffers for p in b.payloads],
+            np.concatenate([b.keys for b in buffers] or empty),
+            np.concatenate([b.labels for b in buffers] or empty),
+            Payloads.concat([b.payloads for b in buffers]),
         )
 
 
@@ -110,7 +111,8 @@ class Storage:
         self._files: dict[int, str] = {}  # file_id -> path (small; driver cache)
         self._next_key = 0
         self._next_file_id = 0
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the hot-path index
+        self._ingest_lock = threading.Lock()  # serializes ingests
         # In-memory metadata index for the hot path (keys are dense, so
         # position == sample_key); chunks are consolidated lazily.
         self._idx_file: list[np.ndarray] = []
@@ -146,9 +148,9 @@ class Storage:
         """
         if timestamps is not None and len(timestamps) != len(paths):
             raise ValueError("one timestamp per file required")
-        frames = []
-        all_keys = []
-        with self._lock:
+        with self._ingest_lock:
+            next_key, next_file_id = self._next_key, self._next_file_id
+            frames, index = [], []
             for i, path in enumerate(paths):
                 n = self.file_wrapper.get_number_of_samples(path)
                 labels = self.file_wrapper.get_labels(path)
@@ -156,33 +158,40 @@ class Storage:
                     raise ValueError(
                         f"{path}: {n} samples but {len(labels)} labels"
                     )
-                file_id = self._next_file_id
-                self._next_file_id += 1
-                keys = np.arange(self._next_key, self._next_key + n, dtype=np.int64)
-                self._next_key += n
-                self._files[file_id] = path
                 ts = int(timestamps[i]) if timestamps is not None else 0
-                self._idx_file.append(np.full(n, file_id, np.int64))
-                self._idx_pos.append(np.arange(n, dtype=np.int64))
-                self._idx_label.append(labels.astype(np.int64))
+                file_ids = np.full(n, next_file_id + i, np.int64)
+                positions = np.arange(n, dtype=np.int64)
+                labels = labels.astype(np.int64)
+                index.append((file_ids, positions, labels))
                 frames.append(
                     pd.DataFrame(
                         {
-                            "sample_key": keys,
-                            "file_id": np.full(n, file_id, np.int64),
-                            "idx": np.arange(n, dtype=np.int64),
-                            "label": labels.astype(np.int64),
+                            "sample_key": np.arange(next_key, next_key + n, dtype=np.int64),
+                            "file_id": file_ids,
+                            "idx": positions,
+                            "label": labels,
                             "timestamp": np.full(n, ts, np.int64),
                         }
                     )
                 )
-                all_keys.append(keys)
-        batch = pd.concat(frames, ignore_index=True)
-        self.spark.createDataFrame(batch).coalesce(1).write.mode("append").parquet(
-            self.registry_path
-        )
-        self._append_files_meta(frames, paths)
-        return np.concatenate(all_keys)
+                next_key += n
+            batch = pd.concat(frames, ignore_index=True)
+            # The registry append is the commit point: the hot-path index
+            # learns the new keys only once the registry holds them, so a
+            # failed write leaves both exactly as they were.
+            self.spark.createDataFrame(batch).coalesce(1).write.mode("append").parquet(
+                self.registry_path
+            )
+            with self._lock:
+                for i, (path, (file_ids, positions, labels)) in enumerate(zip(paths, index)):
+                    self._files[next_file_id + i] = path
+                    self._idx_file.append(file_ids)
+                    self._idx_pos.append(positions)
+                    self._idx_label.append(labels)
+                self._next_key = next_key
+                self._next_file_id = next_file_id + len(paths)
+            self._append_files_meta(frames, paths)
+        return batch["sample_key"].to_numpy(np.int64)
 
     def ingest_file(self, path: str, *, timestamp: int = 0) -> np.ndarray:
         """Register a single payload file (convenience wrapper)."""
@@ -288,22 +297,21 @@ class Storage:
                 pending.clear()
                 pend_n = 0
 
-        bounds = np.flatnonzero(np.diff(file_ids)) + 1
-        for chunk in np.split(np.arange(len(keys)), bounds):
-            if not len(chunk):
+        # [lo, hi) runs of one file; every piece below is a view
+        edges = [0, *(np.flatnonzero(np.diff(file_ids)) + 1).tolist(), len(keys)]
+        for lo, hi in zip(edges, edges[1:]):
+            if lo == hi:
                 continue
-            path = self._files[int(file_ids[chunk[0]])]
-            payloads = self.file_wrapper.get_samples(path, positions[chunk])
+            path = self._files[int(file_ids[lo])]
+            payloads = self.file_wrapper.get_samples(path, positions[lo:hi])
             # emit in send-buffer-sized pieces as they fill
-            start = 0
-            while start < len(chunk):
-                take = min(self.send_buffer_size - pend_n, len(chunk) - start)
-                sl = chunk[start : start + take]
-                pending.append(
-                    SampleBuffer(keys[sl], labels[sl], payloads[start : start + take])
-                )
-                pend_n += take
-                start += take
+            start = lo
+            while start < hi:
+                end = min(start + self.send_buffer_size - pend_n, hi)
+                piece = payloads if (start, end) == (lo, hi) else payloads[start - lo : end - lo]
+                pending.append(SampleBuffer(keys[start:end], labels[start:end], piece))
+                pend_n += end - start
+                start = end
                 if pend_n >= self.send_buffer_size:
                     _flush()
         _flush()

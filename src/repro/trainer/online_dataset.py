@@ -26,6 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.selector.selector import Selector
+from repro.storage.payloads import Payloads
 from repro.storage.storage import SampleBuffer, Storage
 
 
@@ -98,7 +99,7 @@ class OnlineDataset:
         config: OnlineDatasetConfig,
         *,
         bytes_parser: Callable[[bytes], np.ndarray] | None = None,
-        batch_bytes_parser: Callable[[list], np.ndarray] | None = None,
+        batch_bytes_parser: Callable[[Payloads], np.ndarray] | None = None,
         transform: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         if (bytes_parser is None) == (batch_bytes_parser is None):
@@ -180,8 +181,10 @@ class OnlineDataset:
     ) -> None:
         """Vectorized drain: one parser call + numpy ops per send buffer.
 
-        Keeps the worker threads free of per-sample Python, so the GIL
-        does not serialize them and the §5.1 scaling effects can show.
+        The parser sees the send buffer's ``Payloads`` (one contiguous
+        buffer), so a batch parser can view it without a copy. Keeps the
+        worker threads free of per-sample Python, so the GIL does not
+        serialize them and the §5.1 scaling effects can show.
         """
         bs = self.config.batch_size
         while True:
