@@ -68,7 +68,7 @@ class DownsamplingConfig:
     name: str
     ratio: float = 0.5
     mode: str = "BtS"  # "BtS" | "StB"
-    score_parallelism: int = 8
+    score_parallelism: int = 8  # StB: at most this many Spark scoring tasks
 
 
 @dataclass

@@ -23,6 +23,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 import pandas as pd
+from pyspark.sql import functions as F
 
 from repro.core.registry import DOWNSAMPLERS
 from repro.models.base import Model
@@ -101,33 +102,53 @@ def score_keys_spark(
 ) -> pd.DataFrame:
     """Distributed StB scoring pass: (sample_key, score) for every key.
 
-    Builds a Spark stage over the storage metadata (key -> file, idx) and
-    runs the model forward pass inside ``mapInPandas`` on the executors —
-    the reproduction of "the training loop continuously informs the
-    downsampler about the forward pass" at trigger-set scale, expressed
-    as a Spark dataflow stage.
+    One Spark plan: the storage's registry scan joined with the
+    broadcast keys, coalesced to at most ``parallelism`` tasks (narrow,
+    no shuffle), then the model forward pass inside ``mapInPandas`` on
+    the executors, collected once — no metadata round trip through the
+    driver. Each Arrow batch is read with one ``get_samples`` call per
+    file and scored with one ``scores`` call. This reproduces "the
+    training loop continuously informs the downsampler about the forward
+    pass" at trigger-set scale, expressed as a Spark dataflow stage.
+    Raises ``KeyError`` for keys the storage does not hold.
     """
     keys = np.asarray(keys, np.int64)
     if len(keys) == 0:
         return pd.DataFrame({"sample_key": pd.Series(dtype="int64"), "score": pd.Series(dtype="float64")})
-    meta = storage.get_metadata(keys)
-    meta = meta.assign(path=meta["file_id"].map(storage._files))
-    sdf = storage.spark.createDataFrame(
-        meta[["sample_key", "path", "idx", "label"]]
-    ).repartition(parallelism, "path")
+    want = storage.spark.createDataFrame(pd.DataFrame({"sample_key": keys}))
+    rows = (
+        storage.registry_df()
+        .join(F.broadcast(want), "sample_key", "inner")
+        .select("sample_key", "file_id", "idx", "label")
+        .coalesce(parallelism)
+    )
+    paths = storage.file_paths()
     wrapper = storage.file_wrapper
 
     def _score(batches):
         for pdf in batches:
-            for path, grp in pdf.groupby("path", sort=True):
-                payloads = wrapper.get_samples(path, grp["idx"].to_numpy(np.int64))
-                X = model.stack_batch([bytes_parser(p) for p in payloads])
-                y = grp["label"].to_numpy(np.int64)
-                yield pd.DataFrame(
-                    {
-                        "sample_key": grp["sample_key"].to_numpy(np.int64),
-                        "score": downsampler.scores(model, X, y).astype(np.float64),
-                    }
-                )
+            pdf = pdf.sort_values(["file_id", "idx"], kind="stable")
+            file_ids = pdf["file_id"].to_numpy(np.int64)
+            positions = pdf["idx"].to_numpy(np.int64)
+            # [lo, hi) runs of one file, each read with one call
+            edges = [0, *(np.flatnonzero(np.diff(file_ids)) + 1).tolist(), len(pdf)]
+            X = model.stack_batch(
+                [
+                    bytes_parser(p)
+                    for lo, hi in zip(edges, edges[1:])
+                    for p in wrapper.get_samples(paths[int(file_ids[lo])], positions[lo:hi])
+                ]
+            )
+            y = pdf["label"].to_numpy(np.int64)
+            yield pd.DataFrame(
+                {
+                    "sample_key": pdf["sample_key"].to_numpy(np.int64),
+                    "score": downsampler.scores(model, X, y).astype(np.float64),
+                }
+            )
 
-    return sdf.mapInPandas(_score, "sample_key long, score double").toPandas()
+    scored = rows.mapInPandas(_score, "sample_key long, score double").toPandas()
+    if len(scored) != len(keys):
+        missing = set(keys.tolist()) - set(scored["sample_key"].tolist())
+        raise KeyError(f"unknown sample keys (first few): {sorted(missing)[:5]}")
+    return scored

@@ -61,7 +61,9 @@ class SparkMetadataBackend(MetadataBackend):
         self.spark = spark
         # Partition by pipeline first, then trigger — the paper's layout.
         self.root = os.path.join(root, f"pipeline={pipeline_id}")
-        self._persisted: set[int] = set()
+        # rows persisted per trigger bucket: which buckets exist, and
+        # ``count`` without a Spark job
+        self._rows: dict[int, int] = {}
         self._lock = threading.Lock()
         os.makedirs(self.root, exist_ok=True)
 
@@ -82,13 +84,14 @@ class SparkMetadataBackend(MetadataBackend):
             self._bucket(trigger_id)
         )
         with self._lock:
-            self._persisted.add(int(trigger_id))
+            t = int(trigger_id)
+            self._rows[t] = self._rows.get(t, 0) + len(pdf)
 
     def df(self, trigger_ids: Sequence[int]) -> DataFrame:
         """The requested trigger buckets as one Spark DataFrame."""
         frames = []
         for t in trigger_ids:
-            if int(t) in self._persisted:
+            if int(t) in self._rows:
                 frames.append(
                     self.spark.read.parquet(self._bucket(t)).withColumn(
                         "trigger_id", F.lit(int(t))
@@ -107,13 +110,14 @@ class SparkMetadataBackend(MetadataBackend):
         return self.df(trigger_ids).toPandas()
 
     def count(self, trigger_ids: Sequence[int]) -> int:
-        return self.df(trigger_ids).count()
+        with self._lock:
+            return sum(self._rows.get(int(t), 0) for t in trigger_ids)
 
     def reset(self, trigger_id: int) -> None:
         import shutil
 
         with self._lock:
-            self._persisted.discard(int(trigger_id))
+            self._rows.pop(int(trigger_id), None)
         shutil.rmtree(self._bucket(trigger_id), ignore_errors=True)
 
 

@@ -130,7 +130,7 @@ class UniformRandomStrategy(PresamplingStrategy):
         scope = self.scope(trigger_id)
         if isinstance(self.backend, SparkMetadataBackend):
             df = self.backend.df(scope)
-            total = df.count()
+            total = self.backend.count(scope)
             m = (
                 int(round(total * float(fraction)))
                 if fraction is not None

@@ -62,22 +62,25 @@ class TriggerSampleStorage:
         """
         tdir = self._trigger_dir(pipeline_id, trigger_id)
         os.makedirs(tdir, exist_ok=True)
+
+        def _write(path: str, chunk: np.ndarray) -> None:
+            with open(path, "wb") as f:
+                f.write(chunk.tobytes())
+
         n_parts = 0
-        for p, (keys, weights) in enumerate(partitions):
-            arr = np.empty(len(keys), dtype=TSS_DTYPE)
-            arr["sample_key"] = np.asarray(keys, np.int64)
-            arr["weight"] = np.asarray(weights, np.float64)
-            chunks = [c for c in np.array_split(arr, self.n_write_threads)]
-
-            def _write(ic: tuple[int, np.ndarray]) -> None:
-                i, chunk = ic
-                path = os.path.join(tdir, f"partition_{p:06d}_chunk_{i:03d}.bin")
-                with open(path, "wb") as f:
-                    f.write(chunk.tobytes())
-
-            with ThreadPoolExecutor(max_workers=self.n_write_threads) as pool:
-                list(pool.map(_write, enumerate(chunks)))
-            n_parts += 1
+        # one write pool for the whole trigger set
+        with ThreadPoolExecutor(max_workers=self.n_write_threads) as pool:
+            for p, (keys, weights) in enumerate(partitions):
+                arr = np.empty(len(keys), dtype=TSS_DTYPE)
+                arr["sample_key"] = np.asarray(keys, np.int64)
+                arr["weight"] = np.asarray(weights, np.float64)
+                chunks = np.array_split(arr, self.n_write_threads)
+                paths = [
+                    os.path.join(tdir, f"partition_{p:06d}_chunk_{i:03d}.bin")
+                    for i in range(len(chunks))
+                ]
+                list(pool.map(_write, paths, chunks))
+                n_parts += 1
         return n_parts
 
     # ------------------------------------------------------------- reading

@@ -15,9 +15,12 @@ reproducible here.
 
 Two metadata paths, by design (see DESIGN.md):
 
-- ``get_metadata``: a Spark join against the Parquet registry — used by
-  selection/scoring *stages* (and tests), where a dataflow stage is the
-  right shape.
+- the *stage* path (``registry_df``, ``get_metadata``): Spark scans and
+  joins over the Parquet registry — used by selection/scoring *stages*
+  (and tests), where a dataflow stage is the right shape. Each
+  ``Storage`` holds one planned registry scan and reuses it; it is the
+  registry's only writer, and the plan is reset at the ingest commit
+  point, so the plan is never stale.
 - ``lookup``: the *hot* per-request path. The paper's Postgres point
   lookups cost milliseconds; a Spark job costs hundreds of milliseconds
   of driver-serialized overhead, which would invert every scaling trend
@@ -111,8 +114,13 @@ class Storage:
         self._files: dict[int, str] = {}  # file_id -> path (small; driver cache)
         self._next_key = 0
         self._next_file_id = 0
-        self._lock = threading.Lock()  # guards the hot-path index
+        self._lock = threading.Lock()  # guards the hot-path index and registry plan
         self._ingest_lock = threading.Lock()  # serializes ingests
+        # Planned registry scan, rebuilt lazily after each ingest commit;
+        # ``_registry_gen`` counts commits so a plan built concurrently
+        # with one is never kept.
+        self._registry: DataFrame | None = None
+        self._registry_gen = 0
         # In-memory metadata index for the hot path (keys are dense, so
         # position == sample_key); chunks are consolidated lazily.
         self._idx_file: list[np.ndarray] = []
@@ -190,6 +198,8 @@ class Storage:
                     self._idx_label.append(labels)
                 self._next_key = next_key
                 self._next_file_id = next_file_id + len(paths)
+                self._registry = None
+                self._registry_gen += 1
             self._append_files_meta(frames, paths)
         return batch["sample_key"].to_numpy(np.int64)
 
@@ -211,8 +221,28 @@ class Storage:
 
     # ----------------------------------------------------------- metadata
     def registry_df(self) -> DataFrame:
-        """The growing registry as a Spark DataFrame (Parquet scan)."""
-        return self.spark.read.parquet(self.registry_path)
+        """The growing registry as a Spark DataFrame (Parquet scan).
+
+        One plan per ``Storage``: listing the registry and reading its
+        Parquet footers costs a Spark job, so the planned scan is kept
+        and reused until the next ingest commits (this ``Storage`` is
+        the registry's only writer). Planning runs outside ``_lock`` so
+        it never stalls concurrent hot-path ``lookup`` calls.
+        """
+        with self._lock:
+            plan, gen = self._registry, self._registry_gen
+        if plan is not None:
+            return plan
+        plan = self.spark.read.parquet(self.registry_path)
+        with self._lock:
+            if self._registry_gen == gen:
+                self._registry = plan
+        return plan
+
+    def file_paths(self) -> dict[int, str]:
+        """Snapshot of the registered ``file_id -> path`` map."""
+        with self._lock:
+            return dict(self._files)
 
     @property
     def num_samples(self) -> int:

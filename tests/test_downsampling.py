@@ -1,5 +1,6 @@
 """Unit tests for downsampling policies (paper §4.1.2)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.registry import DOWNSAMPLERS
@@ -10,7 +11,13 @@ from repro.selector.downsampling import (
     UniformDownsampler,
     score_keys_spark,
 )
-from repro.synth_data import cloc_lite_array, criteo_bytes_parser, criteo_lite_array
+from repro.synth_data import (
+    cloc_bytes_parser,
+    cloc_lite_array,
+    criteo_bytes_parser,
+    criteo_lite_array,
+)
+from tests.conftest import CLOC_CLASSES, CLOC_DIM
 
 
 @pytest.fixture()
@@ -137,3 +144,46 @@ class TestSparkScoring:
             criteo_storage, model, LossDownsampler(), criteo_bytes_parser, np.array([])
         )
         assert len(out) == 0
+
+
+class TestSparkScoringStage:
+    """The fused StB scoring plan: exact scores, key contract, task cap."""
+
+    def _cloc_local(self, storage, model, ds, keys):
+        buf = storage.get_samples(keys)
+        X = model.stack_batch([cloc_bytes_parser(p) for p in buf.payloads])
+        return dict(zip(buf.keys.tolist(), ds.scores(model, X, buf.labels)))
+
+    def test_spark_scores_equal_local_exactly(self, cloc_storage):
+        keys = np.arange(cloc_storage.num_samples)[::2]
+        model = SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES, seed=3)
+        ds = GradNormDownsampler(ratio=0.5)
+        scored = score_keys_spark(
+            cloc_storage, model, ds, cloc_bytes_parser, keys, parallelism=4
+        )
+        local = self._cloc_local(cloc_storage, model, ds, keys)
+        assert sorted(scored["sample_key"]) == sorted(keys.tolist())
+        for k, s in zip(scored["sample_key"], scored["score"]):
+            assert s == local[k]
+
+    def test_scores_do_not_depend_on_parallelism(self, cloc_storage):
+        keys = np.arange(cloc_storage.num_samples)[::-3]
+        model = SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES, seed=5)
+        ds = GradNormDownsampler(ratio=0.5)
+        frames = [
+            score_keys_spark(cloc_storage, model, ds, cloc_bytes_parser, keys, parallelism=p)
+            .sort_values("sample_key")
+            .reset_index(drop=True)
+            for p in (1, 2, 8)
+        ]
+        for f in frames[1:]:
+            pd.testing.assert_frame_equal(f, frames[0], check_exact=True)
+
+    def test_unknown_key_raises(self, cloc_storage):
+        n = cloc_storage.num_samples
+        model = SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES)
+        with pytest.raises(KeyError, match=rf"unknown sample keys.*\b{n}\b"):
+            score_keys_spark(
+                cloc_storage, model, GradNormDownsampler(), cloc_bytes_parser,
+                np.array([0, 1, n]),
+            )

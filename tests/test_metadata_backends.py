@@ -92,6 +92,28 @@ class TestSparkBackend:
         assert a.count([0]) == 5
         assert b.count([0]) == 7
 
+    def test_count_matches_spark_count(self, spark, tmp_path):
+        """``count`` is kept on the driver; it must equal a Spark count."""
+        b = SparkMetadataBackend(spark, str(tmp_path / "meta"))
+
+        def parity(ids):
+            assert b.count(ids) == b.df(ids).count()
+
+        for i in range(3):  # repeated appends into one bucket
+            b.persist(0, np.arange(10 * i, 10 * i + 4), np.zeros(4), np.zeros(4))
+            parity([0])
+        b.persist(1, np.arange(50, 70), np.zeros(20), np.ones(20))
+        b.persist(2, np.arange(70, 71), np.zeros(1), np.ones(1))
+        for ids in ([0], [1], [2], [0, 1], [0, 1, 2], [2, 0]):
+            parity(ids)
+        b.reset(1)
+        for ids in ([1], [0, 1, 2]):
+            parity(ids)
+        b.persist(1, np.arange(5), np.zeros(5), np.zeros(5))  # refilled after reset
+        for ids in ([1], [0, 1, 2], [7], [1, 7], []):
+            parity(ids)
+        assert b.count([0, 1, 2]) == 12 + 5 + 1
+
 
 class TestLocalBackend:
     def test_multithreaded_chunk_files_on_disk(self, tmp_path):

@@ -1,0 +1,170 @@
+"""Trigger-time Spark stages: the reused registry plan and job budgets.
+
+``Storage`` keeps one planned registry scan and resets it when an ingest
+commits; these tests check that every stage reading the registry sees
+each committed ingest and nothing of a failed one. The job-count guards
+pin how many Spark jobs each trigger-time stage launches, so a driver
+round trip added to a stage fails here instead of only slowing it.
+"""
+import sys
+import threading
+import uuid
+
+import numpy as np
+import pytest
+from pyspark.sql.readwriter import DataFrameReader, DataFrameWriter
+
+from repro.models import SoftmaxRegression
+from repro.selector.downsampling import GradNormDownsampler, score_keys_spark
+from repro.selector.metadata_backend import SparkMetadataBackend
+from repro.selector.presampling import UniformRandomStrategy
+from repro.storage import SingleSampleFileWrapper, Storage
+from repro.synth_data import cloc_bytes_parser, generate_cloc_files
+
+DIM, CLASSES, PER_YEAR = 6, 4, 30
+
+
+@pytest.fixture()
+def years(tmp_path):
+    """Three years of one-sample cloc files: (paths, timestamps) per year."""
+    out = []
+    for y in (2004, 2005, 2006):
+        out.append(
+            generate_cloc_files(
+                str(tmp_path / f"d{y}"), per_year=PER_YEAR, years=(y,),
+                n_classes=CLASSES, dim=DIM,
+            )
+        )
+    return out
+
+
+@pytest.fixture()
+def storage(spark, tmp_path):
+    return Storage(spark, str(tmp_path / "s"), SingleSampleFileWrapper())
+
+
+def _ingest(storage, year):
+    paths, stamps = year
+    return storage.ingest_files(paths, timestamps=stamps)
+
+
+def _score(storage, keys):
+    model = SoftmaxRegression(dim=DIM, n_classes=CLASSES, seed=1)
+    return score_keys_spark(
+        storage, model, GradNormDownsampler(), cloc_bytes_parser, keys, parallelism=2
+    )
+
+
+class TestRegistryPlan:
+    def test_plan_is_reused_between_ingests(self, storage, years):
+        _ingest(storage, years[0])
+        assert storage.registry_df() is storage.registry_df()
+
+    def test_second_ingest_is_visible_to_every_stage(self, storage, years):
+        _ingest(storage, years[0])
+        assert storage.registry_df().count() == PER_YEAR
+        assert len(_score(storage, np.arange(PER_YEAR))) == PER_YEAR
+
+        new = _ingest(storage, years[1])
+        assert new.tolist() == list(range(PER_YEAR, 2 * PER_YEAR))
+        assert storage.registry_df().count() == 2 * PER_YEAR
+        meta = storage.get_metadata(new)
+        assert sorted(meta["sample_key"]) == new.tolist()
+        assert sorted(_score(storage, new)["sample_key"]) == new.tolist()
+
+    def test_failed_ingest_leaves_plan_and_retry_is_scorable(self, storage, years, monkeypatch):
+        _ingest(storage, years[0])
+        assert storage.registry_df().count() == PER_YEAR
+
+        def failing_write(self, *args, **kwargs):
+            raise OSError("injected registry write failure")
+
+        with monkeypatch.context() as m:
+            m.setattr(DataFrameWriter, "parquet", failing_write)
+            with pytest.raises(OSError, match="injected"):
+                _ingest(storage, years[1])
+        assert storage.registry_df().count() == PER_YEAR
+        with pytest.raises(KeyError, match="unknown sample keys"):
+            _score(storage, np.arange(PER_YEAR, PER_YEAR + 2))
+
+        retry = _ingest(storage, years[1])
+        assert retry.tolist() == list(range(PER_YEAR, 2 * PER_YEAR))
+        assert storage.registry_df().count() == 2 * PER_YEAR
+        scored = _score(storage, retry)
+        assert sorted(scored["sample_key"]) == retry.tolist()
+        assert np.isfinite(scored["score"]).all()
+
+    def test_plan_built_across_a_commit_is_not_kept(self, storage, years, monkeypatch):
+        _ingest(storage, years[0])
+        plan = DataFrameReader.parquet
+
+        def plan_then_commit(self, *args, **kwargs):
+            df = plan(self, *args, **kwargs)  # lists the first year only
+            monkeypatch.setattr(DataFrameReader, "parquet", plan)
+            _ingest(storage, years[1])  # commits while the caller is planning
+            return df
+
+        monkeypatch.setattr(DataFrameReader, "parquet", plan_then_commit)
+        assert storage.registry_df().count() == PER_YEAR  # planned before the commit
+        assert storage.registry_df().count() == 2 * PER_YEAR
+
+    def test_concurrent_planning_and_ingest(self, storage, years):
+        """Readers plan the registry and look keys up while ingests commit."""
+        _ingest(storage, years[0])
+        stop = threading.Event()
+        errors = []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    storage.registry_df()
+                    storage.lookup(np.arange(PER_YEAR))
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=reader) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for year in years[1:]:
+                _ingest(storage, year)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert storage.registry_df().count() == storage.num_samples == 3 * PER_YEAR
+
+
+def _spark_jobs(spark, fn) -> int:
+    """Number of Spark jobs ``fn()`` launches."""
+    sc = spark.sparkContext
+    group = f"jobs-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # job-start events reach the status tracker through the async listener bus
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+class TestJobBudget:
+    def test_trigger_time_stages(self, spark, storage, years, tmp_path):
+        for year in years:
+            _ingest(storage, year)
+        storage.registry_df()  # planned once per ingest, not per stage
+        keys = np.arange(0, storage.num_samples, 2)
+
+        assert 1 <= _spark_jobs(spark, lambda: _score(storage, keys)) <= 3
+        assert 1 <= _spark_jobs(spark, lambda: storage.get_metadata(keys)) <= 2
+
+        backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
+        backend.persist(0, keys, np.zeros(len(keys)), np.zeros(len(keys)))
+        uniform = UniformRandomStrategy(backend, fraction=0.5, seed=3)
+        assert 1 <= _spark_jobs(spark, lambda: list(uniform.select(0))) <= 2
