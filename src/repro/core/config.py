@@ -16,11 +16,12 @@ import numpy as np
 import yaml
 
 from repro import synth_data
+from repro.storage.payloads import Payloads
 
-#: Built-in bytes parsers selectable by name in the data section.
-NAMED_BYTES_PARSERS: dict[str, Callable[[bytes], np.ndarray]] = {
-    "criteo": synth_data.criteo_bytes_parser,
-    "cloc": synth_data.cloc_bytes_parser,
+#: Built-in batch parsers selectable by name in the data section.
+NAMED_PARSERS: dict[str, Callable[[Payloads], np.ndarray]] = {
+    "criteo": synth_data.criteo_batch_parser,
+    "cloc": synth_data.cloc_batch_parser,
 }
 
 
@@ -47,14 +48,18 @@ class ModelConfig:
 
 @dataclass
 class DataConfig:
-    #: name from NAMED_BYTES_PARSERS, or Python source defining
+    #: name from NAMED_PARSERS, or Python source defining
     #: ``bytes_parser_function(data)``.
     bytes_parser_function: str = "cloc"
 
-    def parser(self) -> Callable[[bytes], np.ndarray]:
-        if self.bytes_parser_function in NAMED_BYTES_PARSERS:
-            return NAMED_BYTES_PARSERS[self.bytes_parser_function]
-        return compile_bytes_parser(self.bytes_parser_function)
+    def parser(self) -> Callable[[Payloads], np.ndarray]:
+        """The data path's batch parser: a named one, or the compiled
+        per-sample ``bytes_parser_function`` lifted once to stack its
+        rows (the DataLoader's default collate); it still gets ``bytes``."""
+        if self.bytes_parser_function in NAMED_PARSERS:
+            return NAMED_PARSERS[self.bytes_parser_function]
+        fn = compile_bytes_parser(self.bytes_parser_function)
+        return lambda payloads: np.stack([fn(p) for p in payloads])
 
 
 @dataclass

@@ -130,7 +130,7 @@ class Pipeline:
             os.path.join(self.workdir, "models"),
             full_every=cfg.model_storage.full_every,
         )
-        bytes_parser = cfg.data.parser()
+        parser = cfg.data.parser()
         seen_keys: dict[int, list[np.ndarray]] = {}
         trigger_timestamps: dict[int, int] = {}
         train_results: list[TrainResult] = []
@@ -157,7 +157,7 @@ class Pipeline:
                     keys,
                     weights,
                     batch_size=tr.batch_size,
-                    bytes_parser=bytes_parser,
+                    batch_bytes_parser=parser,
                     score_parallelism=ds_cfg.score_parallelism,
                     storage_threads=tr.storage_threads,
                 )
@@ -173,7 +173,7 @@ class Pipeline:
                         parallel_prefetch_requests=tr.parallel_prefetch_requests,
                         storage_threads=tr.storage_threads,
                     ),
-                    bytes_parser=bytes_parser,
+                    batch_bytes_parser=parser,
                 )
                 result = trainer.train(dataset)
             train_results.append(result)
@@ -200,7 +200,7 @@ class Pipeline:
             trigger_timestamps=trigger_timestamps,
         )
         if cfg.evaluation is not None:
-            self._evaluate(result, bytes_parser)
+            self._evaluate(result, parser)
         return result
 
     # ----------------------------------------------------------- evaluation
@@ -209,9 +209,9 @@ class Pipeline:
         model.set_state(result.model_storage.load(trigger_id))
         return model
 
-    def _evaluate(self, result: PipelineResult, bytes_parser) -> None:
+    def _evaluate(self, result: PipelineResult, parser) -> None:
         ev_cfg = self.config.evaluation
-        evaluator = Evaluator(self.storage, bytes_parser=bytes_parser)
+        evaluator = Evaluator(self.storage, batch_bytes_parser=parser)
         for info in result.trigger_infos:
             model = self._load_model(result, info.trigger_id)
             result.evaluations[info.trigger_id] = evaluator.evaluate(

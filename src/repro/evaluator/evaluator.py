@@ -17,6 +17,7 @@ import pandas as pd
 from repro.core.registry import METRICS
 from repro.evaluator.metrics import DecomposableMetric, HolisticMetric
 from repro.models.base import Model
+from repro.storage.payloads import Payloads
 from repro.storage.storage import Storage
 
 
@@ -27,12 +28,12 @@ class Evaluator:
         self,
         storage: Storage,
         *,
-        bytes_parser: Callable[[bytes], np.ndarray],
+        batch_bytes_parser: Callable[[Payloads], np.ndarray],
         batch_size: int = 4096,
         storage_threads: int = 1,
     ) -> None:
         self.storage = storage
-        self.bytes_parser = bytes_parser
+        self.batch_bytes_parser = batch_bytes_parser
         self.batch_size = batch_size
         self.storage_threads = storage_threads
 
@@ -48,11 +49,9 @@ class Evaluator:
             np.asarray(keys, np.int64), storage_threads=self.storage_threads
         )
         for start in range(0, len(buffer), self.batch_size):
-            payloads = [
-                self.bytes_parser(p)
-                for p in buffer.payloads[start : start + self.batch_size]
-            ]
-            X = model.stack_batch(payloads)
+            X = model.stack_batch(
+                self.batch_bytes_parser(buffer.payloads[start : start + self.batch_size])
+            )
             logits = model.forward(X)
             labels = buffer.labels[start : start + self.batch_size]
             for m in metrics.values():

@@ -18,8 +18,9 @@ class Model(ABC):
     """Trainable model over numpy batches."""
 
     @abstractmethod
-    def stack_batch(self, payloads: Sequence[np.ndarray]) -> np.ndarray:
-        """Assemble parsed per-sample payloads into one batch array."""
+    def stack_batch(self, payloads: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+        """The model input for one batch: the batch parser's output
+        (``Batch.payloads``) as is, or per-sample rows stacked."""
 
     @abstractmethod
     def forward(self, X: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from pyspark.sql import functions as F
 
 from repro.core.registry import DOWNSAMPLERS
 from repro.models.base import Model
+from repro.storage.payloads import Payloads
 from repro.storage.storage import Storage
 
 
@@ -95,7 +96,7 @@ def score_keys_spark(
     storage: Storage,
     model: Model,
     downsampler: Downsampler,
-    bytes_parser,
+    batch_bytes_parser,
     keys: np.ndarray,
     *,
     parallelism: int = 8,
@@ -107,9 +108,10 @@ def score_keys_spark(
     no shuffle), then the model forward pass inside ``mapInPandas`` on
     the executors, collected once — no metadata round trip through the
     driver. Each Arrow batch is read with one ``get_samples`` call per
-    file and scored with one ``scores`` call. This reproduces "the
-    training loop continuously informs the downsampler about the forward
-    pass" at trigger-set scale, expressed as a Spark dataflow stage.
+    file, parsed with one ``batch_bytes_parser`` call and scored with one
+    ``scores`` call. This reproduces "the training loop continuously
+    informs the downsampler about the forward pass" at trigger-set scale,
+    expressed as a Spark dataflow stage.
     Raises ``KeyError`` for keys the storage does not hold.
     """
     keys = np.asarray(keys, np.int64)
@@ -132,13 +134,13 @@ def score_keys_spark(
             positions = pdf["idx"].to_numpy(np.int64)
             # [lo, hi) runs of one file, each read with one call
             edges = [0, *(np.flatnonzero(np.diff(file_ids)) + 1).tolist(), len(pdf)]
-            X = model.stack_batch(
+            payloads = Payloads.concat(
                 [
-                    bytes_parser(p)
+                    wrapper.get_samples(paths[int(file_ids[lo])], positions[lo:hi])
                     for lo, hi in zip(edges, edges[1:])
-                    for p in wrapper.get_samples(paths[int(file_ids[lo])], positions[lo:hi])
                 ]
             )
+            X = model.stack_batch(batch_bytes_parser(payloads))
             y = pdf["label"].to_numpy(np.int64)
             yield pd.DataFrame(
                 {

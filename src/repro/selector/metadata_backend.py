@@ -26,6 +26,7 @@ from pyspark.sql import functions as F
 SEEN_DTYPE = np.dtype(
     [("sample_key", "<i8"), ("label", "<i8"), ("timestamp", "<i8")]
 )
+_SEEN_SCHEMA = "sample_key long, label long, timestamp long"
 
 
 class MetadataBackend(ABC):
@@ -80,9 +81,11 @@ class SparkMetadataBackend(MetadataBackend):
         )
         # Bulk append into the trigger's own physical partition — the
         # analog of SQL bulk insertion into a fresh per-trigger table.
-        self.spark.createDataFrame(pdf).coalesce(1).write.mode("append").parquet(
-            self._bucket(trigger_id)
-        )
+        # The explicit schema lets an empty batch through (Spark cannot
+        # infer one from an empty frame).
+        self.spark.createDataFrame(pdf, _SEEN_SCHEMA).coalesce(1).write.mode(
+            "append"
+        ).parquet(self._bucket(trigger_id))
         with self._lock:
             t = int(trigger_id)
             self._rows[t] = self._rows.get(t, 0) + len(pdf)
@@ -99,7 +102,7 @@ class SparkMetadataBackend(MetadataBackend):
                 )
         if not frames:
             return self.spark.createDataFrame(
-                [], "sample_key long, label long, timestamp long, trigger_id long"
+                [], _SEEN_SCHEMA + ", trigger_id long"
             )
         out = frames[0]
         for f in frames[1:]:

@@ -7,9 +7,10 @@ buffer, delimited either by a fixed ``stride`` (fixed-size binary
 records) or by ``int64`` ``offsets`` (CSV rows, one-sample files).
 
 It is a ``Sequence[bytes]``: ``p[i]`` and iteration yield ``bytes``, so
-per-sample ``bytes_parser`` functions (§3.5) work unchanged, while batch
-parsers view ``buffer`` without copying. Slices are views of the parent
-buffer; ``take`` and ``concat`` copy once.
+a per-sample ``bytes_parser_function`` (§3.5), lifted to a batch parser,
+still gets ``bytes``, while the built-in batch parsers view ``buffer``
+without copying. Slices are views of the parent buffer; ``take`` and
+``concat`` copy once.
 """
 from __future__ import annotations
 

@@ -108,7 +108,7 @@ class Trainer:
         weights: np.ndarray,
         *,
         batch_size: int,
-        bytes_parser,
+        batch_bytes_parser,
         transform=None,
         score_parallelism: int = 8,
         storage_threads: int = 1,
@@ -128,7 +128,7 @@ class Trainer:
             storage,
             self.model,
             self.downsampler,
-            bytes_parser,
+            batch_bytes_parser,
             keys,
             parallelism=score_parallelism,
         )
@@ -140,12 +140,15 @@ class Trainer:
         sel_keys = keys[idx]
         sel_weights = np.asarray(weights, np.float64)[idx] * imp
         buffer = storage.get_samples(sel_keys, storage_threads=storage_threads)
-        wmap = dict(zip(sel_keys.tolist(), sel_weights.tolist()))
+        # the buffer's order is not the request's: align weights by key
+        # (a key drawn twice carries the same weight both times)
+        order = np.argsort(sel_keys)
+        at = np.searchsorted(sel_keys[order], buffer.keys)
         dataset = InMemoryDataset(
             buffer,
-            wmap,
+            sel_weights[order][at],
             batch_size=batch_size,
-            bytes_parser=bytes_parser,
+            batch_bytes_parser=batch_bytes_parser,
             transform=transform,
             shuffle_seed=int(self._rng.integers(2**31)),
         )

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import (
+    DataConfig,
     DownsamplingConfig,
     PipelineConfig,
     compile_bytes_parser,
 )
-from repro.synth_data import criteo_lite_array
+from repro.synth_data import cloc_bytes_parser, criteo_bytes_parser, criteo_lite_array
 
 
 MINIMAL = {
@@ -103,8 +104,31 @@ class TestBytesParser:
     def test_named_parsers(self):
         cfg = PipelineConfig.from_dict({**MINIMAL, "data": {"bytes_parser_function": "criteo"}})
         rec = criteo_lite_array(1, seed=0)
-        parsed = cfg.data.parser()(rec.tobytes())
+        parsed = cfg.data.parser()([rec.tobytes()])
         assert parsed.dtype == rec.dtype
+
+    def test_named_parsers_equal_stacked_references(self):
+        recs = criteo_lite_array(5, seed=1)
+        rows = [recs[i : i + 1].tobytes() for i in range(5)]
+        criteo = DataConfig(bytes_parser_function="criteo").parser()(rows)
+        assert np.array_equal(criteo, np.concatenate([criteo_bytes_parser(r) for r in rows]))
+        feats = np.random.default_rng(0).standard_normal((4, 6)).astype("<f4")
+        rows = [f.tobytes() for f in feats]
+        cloc = DataConfig(bytes_parser_function="cloc").parser()(rows)
+        ref = np.stack([cloc_bytes_parser(r) for r in rows])
+        assert cloc.dtype == ref.dtype == np.float64 and cloc.flags.c_contiguous
+        assert np.array_equal(cloc, ref)
+
+    def test_user_parser_lifted_to_stacked_rows(self):
+        src = (
+            "def bytes_parser_function(data):\n"
+            "    return np.frombuffer(data, dtype='<f4') * 2\n"
+        )
+        fn = compile_bytes_parser(src)
+        rows = [np.arange(3 * i, 3 * i + 3, dtype="<f4").tobytes() for i in range(4)]
+        lifted = DataConfig(bytes_parser_function=src).parser()
+        assert np.array_equal(lifted(rows), np.stack([fn(r) for r in rows]))
+        assert lifted(rows).shape == (4, 3)
 
     def test_source_string_parser_compiled(self):
         src = (
@@ -125,4 +149,4 @@ class TestBytesParser:
             "bytes_parser_function": "def bytes_parser_function(data):\n    return np.frombuffer(data, dtype='<f8')\n"
         }
         cfg = PipelineConfig.from_dict(d)
-        assert np.allclose(cfg.data.parser()(np.ones(2).tobytes()), 1.0)
+        assert np.allclose(cfg.data.parser()([np.ones(2).tobytes()]), 1.0)

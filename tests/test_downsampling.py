@@ -12,8 +12,10 @@ from repro.selector.downsampling import (
     score_keys_spark,
 )
 from repro.synth_data import (
+    cloc_batch_parser,
     cloc_bytes_parser,
     cloc_lite_array,
+    criteo_batch_parser,
     criteo_bytes_parser,
     criteo_lite_array,
 )
@@ -127,7 +129,7 @@ class TestSparkScoring:
         model = DlrmLite(seed=1)
         ds = LossDownsampler(ratio=0.5)
         scored = score_keys_spark(
-            criteo_storage, model, ds, criteo_bytes_parser, keys, parallelism=4
+            criteo_storage, model, ds, criteo_batch_parser, keys, parallelism=4
         )
         assert sorted(scored["sample_key"]) == sorted(keys.tolist())
         buf = criteo_storage.get_samples(keys)
@@ -141,7 +143,7 @@ class TestSparkScoring:
     def test_empty_keys(self, criteo_storage):
         model = DlrmLite()
         out = score_keys_spark(
-            criteo_storage, model, LossDownsampler(), criteo_bytes_parser, np.array([])
+            criteo_storage, model, LossDownsampler(), criteo_batch_parser, np.array([])
         )
         assert len(out) == 0
 
@@ -159,7 +161,7 @@ class TestSparkScoringStage:
         model = SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES, seed=3)
         ds = GradNormDownsampler(ratio=0.5)
         scored = score_keys_spark(
-            cloc_storage, model, ds, cloc_bytes_parser, keys, parallelism=4
+            cloc_storage, model, ds, cloc_batch_parser, keys, parallelism=4
         )
         local = self._cloc_local(cloc_storage, model, ds, keys)
         assert sorted(scored["sample_key"]) == sorted(keys.tolist())
@@ -171,7 +173,7 @@ class TestSparkScoringStage:
         model = SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES, seed=5)
         ds = GradNormDownsampler(ratio=0.5)
         frames = [
-            score_keys_spark(cloc_storage, model, ds, cloc_bytes_parser, keys, parallelism=p)
+            score_keys_spark(cloc_storage, model, ds, cloc_batch_parser, keys, parallelism=p)
             .sort_values("sample_key")
             .reset_index(drop=True)
             for p in (1, 2, 8)
@@ -184,6 +186,6 @@ class TestSparkScoringStage:
         model = SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES)
         with pytest.raises(KeyError, match=rf"unknown sample keys.*\b{n}\b"):
             score_keys_spark(
-                cloc_storage, model, GradNormDownsampler(), cloc_bytes_parser,
+                cloc_storage, model, GradNormDownsampler(), cloc_batch_parser,
                 np.array([0, 1, n]),
             )

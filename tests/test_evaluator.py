@@ -4,13 +4,18 @@ import pytest
 
 from repro.evaluator import Evaluator
 from repro.models import DlrmLite, SoftmaxRegression
-from repro.synth_data import cloc_bytes_parser, criteo_bytes_parser
+from repro.synth_data import (
+    cloc_batch_parser,
+    cloc_bytes_parser,
+    criteo_batch_parser,
+    criteo_bytes_parser,
+)
 from tests.conftest import CLOC_CLASSES, CLOC_DIM, CLOC_PER_YEAR, CLOC_YEARS_SMALL
 
 
 @pytest.fixture()
 def cloc_evaluator(cloc_storage):
-    return Evaluator(cloc_storage, bytes_parser=cloc_bytes_parser, batch_size=32)
+    return Evaluator(cloc_storage, batch_bytes_parser=cloc_batch_parser, batch_size=32)
 
 
 class TestEvaluate:
@@ -31,20 +36,20 @@ class TestEvaluate:
     def test_batching_invariance(self, cloc_storage):
         model = SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES, seed=2)
         keys = np.arange(150)
-        small = Evaluator(cloc_storage, bytes_parser=cloc_bytes_parser, batch_size=7)
-        big = Evaluator(cloc_storage, bytes_parser=cloc_bytes_parser, batch_size=1000)
+        small = Evaluator(cloc_storage, batch_bytes_parser=cloc_batch_parser, batch_size=7)
+        big = Evaluator(cloc_storage, batch_bytes_parser=cloc_batch_parser, batch_size=1000)
         assert small.evaluate(model, keys, ["Accuracy"]) == big.evaluate(
             model, keys, ["Accuracy"]
         )
 
     def test_holistic_metric_binary(self, criteo_storage):
-        ev = Evaluator(criteo_storage, bytes_parser=criteo_bytes_parser)
+        ev = Evaluator(criteo_storage, batch_bytes_parser=criteo_batch_parser)
         out = ev.evaluate(DlrmLite(seed=0), np.arange(500), ["RocAuc", "Accuracy"])
         assert 0.0 <= out["RocAuc"] <= 1.0
         assert 0.0 <= out["Accuracy"] <= 1.0
 
     def test_trained_model_beats_random_on_auc(self, criteo_storage):
-        ev = Evaluator(criteo_storage, bytes_parser=criteo_bytes_parser)
+        ev = Evaluator(criteo_storage, batch_bytes_parser=criteo_batch_parser)
         model = DlrmLite(seed=0)
         random_auc = ev.evaluate(model, np.arange(1000), ["RocAuc"])["RocAuc"]
         buf = criteo_storage.get_samples(np.arange(1000, 3000))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.storage.file_wrappers import BinaryFileWrapper
 from repro.storage.local_dataset import LocalDataset
-from repro.synth_data import CRITEO_DTYPE, criteo_bytes_parser, generate_criteo_files
+from repro.synth_data import CRITEO_DTYPE, criteo_batch_parser, generate_criteo_files
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,7 @@ class TestLocalDataset:
             BinaryFileWrapper(CRITEO_DTYPE),
             batch_size=128,
             num_workers=workers,
+            batch_bytes_parser=criteo_batch_parser,
         )
         total = 0
         for payloads, labels in ds.batches():
@@ -33,7 +34,8 @@ class TestLocalDataset:
 
     def test_files_split_across_workers(self, files):
         ds = LocalDataset(
-            files, BinaryFileWrapper(CRITEO_DTYPE), batch_size=250, num_workers=2
+            files, BinaryFileWrapper(CRITEO_DTYPE), batch_size=250, num_workers=2,
+            batch_bytes_parser=criteo_batch_parser,
         )
         # 4 files, 2 workers -> 2 files each -> 2 full batches per worker
         sizes = [len(lbl) for _, lbl in ds.batches()]
@@ -44,14 +46,15 @@ class TestLocalDataset:
             files,
             BinaryFileWrapper(CRITEO_DTYPE),
             batch_size=64,
-            bytes_parser=criteo_bytes_parser,
+            batch_bytes_parser=criteo_batch_parser,
         )
         payloads, _ = next(iter(ds.batches()))
         assert payloads[0].dtype == CRITEO_DTYPE
 
     def test_sequential_order_within_worker(self, files):
         ds = LocalDataset(
-            files, BinaryFileWrapper(CRITEO_DTYPE), batch_size=1000, num_workers=1
+            files, BinaryFileWrapper(CRITEO_DTYPE), batch_size=1000, num_workers=1,
+            batch_bytes_parser=criteo_batch_parser,
         )
         payloads, labels = next(iter(ds.batches()))
         expect = np.concatenate(
@@ -61,11 +64,15 @@ class TestLocalDataset:
 
     def test_partial_tail_batch(self, files):
         ds = LocalDataset(
-            files, BinaryFileWrapper(CRITEO_DTYPE), batch_size=300, num_workers=1
+            files, BinaryFileWrapper(CRITEO_DTYPE), batch_size=300, num_workers=1,
+            batch_bytes_parser=criteo_batch_parser,
         )
         sizes = [len(lbl) for _, lbl in ds.batches()]
         assert sizes == [300, 300, 300, 100]
 
     def test_invalid_workers(self, files):
         with pytest.raises(ValueError):
-            LocalDataset(files, BinaryFileWrapper(CRITEO_DTYPE), batch_size=1, num_workers=0)
+            LocalDataset(
+                files, BinaryFileWrapper(CRITEO_DTYPE), batch_size=1, num_workers=0,
+                batch_bytes_parser=criteo_batch_parser,
+            )

@@ -113,6 +113,12 @@ class TestSparkBackend:
         for ids in ([1], [0, 1, 2], [7], [1, 7], []):
             parity(ids)
         assert b.count([0, 1, 2]) == 12 + 5 + 1
+        empty = np.array([], np.int64)
+        b.persist(0, empty, empty, empty)  # into a filled bucket
+        b.persist(3, empty, empty, empty)  # as a bucket's first batch
+        for ids in ([0], [3], [0, 3], [0, 1, 2, 3]):
+            parity(ids)
+        assert b.count([0, 1, 2, 3]) == 12 + 5 + 1
 
 
 class TestLocalBackend:

@@ -12,7 +12,7 @@ from repro.selector.presampling import NewDataStrategy, UniformRandomStrategy
 from repro.selector.selector import Selector
 from repro.selector.trigger_sample_storage import TriggerSampleStorage
 from repro.storage.storage import Storage
-from repro.synth_data import criteo_bytes_parser
+from repro.synth_data import criteo_batch_parser
 from repro.trainer import OnlineDataset, OnlineDatasetConfig
 from tests.conftest import CRITEO_N
 
@@ -61,7 +61,7 @@ class TestExactlyOnceDelivery:
     ):
         cfg = OnlineDatasetConfig(batch_size=256, **overrides)
         ds = OnlineDataset(
-            criteo_storage, selector, 0, cfg, bytes_parser=criteo_bytes_parser
+            criteo_storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser
         )
         keys, weights, _, _ = _collect(ds)
         assert sorted(keys.tolist()) == list(range(CRITEO_N))
@@ -70,7 +70,7 @@ class TestExactlyOnceDelivery:
     def test_repeated_epochs_identical_coverage(self, criteo_storage, selector):
         cfg = OnlineDatasetConfig(batch_size=512, num_workers=2, prefetched_partitions=1)
         ds = OnlineDataset(
-            criteo_storage, selector, 0, cfg, bytes_parser=criteo_bytes_parser
+            criteo_storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser
         )
         k1, _, _, _ = _collect(ds)
         k2, _, _, _ = _collect(ds)  # batches() must be re-entrant (epochs)
@@ -81,7 +81,7 @@ class TestBatching:
     def test_full_batches_except_worker_tails(self, criteo_storage, selector):
         cfg = OnlineDatasetConfig(batch_size=256, num_workers=4, prefetched_partitions=1)
         ds = OnlineDataset(
-            criteo_storage, selector, 0, cfg, bytes_parser=criteo_bytes_parser
+            criteo_storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser
         )
         sizes = [len(b) for b in ds.batches()]
         assert sum(sizes) == CRITEO_N
@@ -92,7 +92,7 @@ class TestBatching:
         # partition size 800 with batch 512: second batch spans partitions
         cfg = OnlineDatasetConfig(batch_size=512, num_workers=1, prefetched_partitions=1)
         ds = OnlineDataset(
-            criteo_storage, selector, 0, cfg, bytes_parser=criteo_bytes_parser
+            criteo_storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser
         )
         sizes = [len(b) for b in ds.batches()]
         assert sizes == [512] * 5 + [440]
@@ -100,7 +100,7 @@ class TestBatching:
     def test_payloads_are_parsed(self, criteo_storage, selector):
         cfg = OnlineDatasetConfig(batch_size=128)
         ds = OnlineDataset(
-            criteo_storage, selector, 0, cfg, bytes_parser=criteo_bytes_parser
+            criteo_storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser
         )
         batch = next(iter(ds.batches()))
         assert batch.payloads[0].dtype.names == ("label", "dense", "cat")
@@ -112,20 +112,19 @@ class TestBatching:
             selector,
             0,
             cfg,
-            bytes_parser=criteo_bytes_parser,
+            batch_bytes_parser=criteo_batch_parser,
             transform=lambda rec: rec["dense"].astype(np.float64) * 2.0,
         )
         batch = next(iter(ds.batches()))
-        assert batch.payloads[0].shape == (1, 13)
+        assert batch.payloads.shape == (128, 13)
 
     def test_labels_match_payload_records(self, criteo_storage, selector):
         cfg = OnlineDatasetConfig(batch_size=64, num_workers=2)
         ds = OnlineDataset(
-            criteo_storage, selector, 0, cfg, bytes_parser=criteo_bytes_parser
+            criteo_storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser
         )
         for batch in ds.batches():
-            embedded = np.concatenate([p["label"] for p in batch.payloads])
-            assert np.array_equal(embedded, batch.labels)
+            assert np.array_equal(batch.payloads["label"], batch.labels)
             break
 
 
@@ -142,7 +141,7 @@ class TestWeights:
         sel.current_trigger = 1
         cfg = OnlineDatasetConfig(batch_size=32, num_workers=2)
         ds = OnlineDataset(
-            criteo_storage, sel, 0, cfg, bytes_parser=criteo_bytes_parser
+            criteo_storage, sel, 0, cfg, batch_bytes_parser=criteo_batch_parser
         )
         got = {}
         for b in ds.batches():
@@ -180,7 +179,7 @@ class TestSubsetSelection:
         assert info.num_samples == 250
         cfg = OnlineDatasetConfig(batch_size=100, num_workers=2, prefetched_partitions=1)
         ds = OnlineDataset(
-            criteo_storage, sel, 0, cfg, bytes_parser=criteo_bytes_parser
+            criteo_storage, sel, 0, cfg, batch_bytes_parser=criteo_batch_parser
         )
         keys, _, _, _ = _collect(ds)
         assert len(keys) == 250

@@ -2,7 +2,8 @@
 
 Every file wrapper returns ``Payloads`` that must read exactly like the
 per-record ``bytes`` it replaces, on every read path; batch parsers must
-view the buffer without a copy; per-sample parsers still get ``bytes``.
+view the buffer without a copy; a lifted per-sample parser still gets
+``bytes``.
 """
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DataConfig
 from repro.selector.metadata_backend import LocalMetadataBackend
 from repro.selector.presampling import NewDataStrategy
 from repro.selector.selector import Selector
@@ -28,7 +30,6 @@ from repro.synth_data import (
     CRITEO_DTYPE,
     cloc_batch_parser,
     criteo_batch_parser,
-    criteo_bytes_parser,
     criteo_lite_array,
 )
 from repro.trainer import InMemoryDataset, OnlineDataset, OnlineDatasetConfig
@@ -267,31 +268,40 @@ class TestSendBuffers:
 
 
 class TestPerSampleParsersGetBytes:
-    def _recording_parser(self, seen):
-        def parse(data):
-            seen.add(type(data))
-            return criteo_bytes_parser(data)
+    """A user's per-sample ``bytes_parser_function``, lifted to a batch
+    parser by ``DataConfig.parser``, is called with ``bytes``."""
 
-        return parse
+    # raises unless handed bytes; returns the record's int32 label
+    SOURCE = (
+        "def bytes_parser_function(data):\n"
+        "    if type(data) is not bytes:\n"
+        "        raise TypeError(type(data))\n"
+        "    return np.frombuffer(data, dtype='<i4')[:1]\n"
+    )
+
+    def _parser(self):
+        return DataConfig(bytes_parser_function=self.SOURCE).parser()
 
     def test_online_dataset(self, criteo_storage, selector):
-        seen: set = set()
         cfg = OnlineDatasetConfig(batch_size=256, num_workers=2)
         ds = OnlineDataset(
-            criteo_storage, selector, 0, cfg, bytes_parser=self._recording_parser(seen)
+            criteo_storage, selector, 0, cfg, batch_bytes_parser=self._parser()
         )
-        assert sum(len(b) for b in ds.batches()) == CRITEO_N
-        assert seen == {bytes}
+        batches = list(ds.batches())
+        assert sum(len(b) for b in batches) == CRITEO_N
+        for b in batches:
+            assert np.array_equal(b.payloads[:, 0], b.labels)
 
     def test_in_memory_dataset(self, criteo_storage):
-        seen: set = set()
         buf = criteo_storage.get_samples(np.arange(50))
         ds = InMemoryDataset(
             buf,
-            {int(k): 1.0 for k in buf.keys},
+            np.ones(len(buf)),
             batch_size=16,
-            bytes_parser=self._recording_parser(seen),
+            batch_bytes_parser=self._parser(),
             shuffle_seed=0,
         )
-        assert sum(len(b) for b in ds.batches()) == 50
-        assert seen == {bytes}
+        batches = list(ds.batches())
+        assert sum(len(b) for b in batches) == 50
+        for b in batches:
+            assert np.array_equal(b.payloads[:, 0], b.labels)

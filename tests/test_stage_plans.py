@@ -19,7 +19,7 @@ from repro.selector.downsampling import GradNormDownsampler, score_keys_spark
 from repro.selector.metadata_backend import SparkMetadataBackend
 from repro.selector.presampling import UniformRandomStrategy
 from repro.storage import SingleSampleFileWrapper, Storage
-from repro.synth_data import cloc_bytes_parser, generate_cloc_files
+from repro.synth_data import cloc_batch_parser, generate_cloc_files
 
 DIM, CLASSES, PER_YEAR = 6, 4, 30
 
@@ -51,7 +51,7 @@ def _ingest(storage, year):
 def _score(storage, keys):
     model = SoftmaxRegression(dim=DIM, n_classes=CLASSES, seed=1)
     return score_keys_spark(
-        storage, model, GradNormDownsampler(), cloc_bytes_parser, keys, parallelism=2
+        storage, model, GradNormDownsampler(), cloc_batch_parser, keys, parallelism=2
     )
 
 

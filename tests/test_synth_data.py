@@ -114,16 +114,3 @@ class TestClocLite:
         out = sd.cloc_bytes_parser(v.tobytes())
         assert out.dtype == np.float64 and np.allclose(out, [1.5, -2.0])
 
-
-class TestTpchLite:
-    """The provided TPC-H-lite generators still work (regression guard)."""
-
-    def test_lineitem_schema_and_determinism(self, spark):
-        df = sd.lineitem(spark, sf=0.001, seed=3)
-        assert df.count() == 6000
-        assert "l_orderkey" in df.columns
-
-    def test_zipf_keys_skewed(self, spark):
-        df = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=1.2).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 10 * counts.iloc[-1]

@@ -3,12 +3,16 @@ import numpy as np
 import pytest
 
 from repro.models import DlrmLite, SoftmaxRegression
-from repro.selector.downsampling import GradNormDownsampler, LossDownsampler
+from repro.selector.downsampling import (
+    GradNormDownsampler,
+    LossDownsampler,
+    UniformDownsampler,
+)
 from repro.selector.metadata_backend import LocalMetadataBackend
 from repro.selector.presampling import NewDataStrategy
 from repro.selector.selector import Selector
 from repro.selector.trigger_sample_storage import TriggerSampleStorage
-from repro.synth_data import criteo_bytes_parser
+from repro.synth_data import criteo_batch_parser
 from repro.trainer import InMemoryDataset, OnlineDataset, OnlineDatasetConfig, Trainer
 from tests.conftest import CRITEO_N
 
@@ -29,7 +33,7 @@ def _dataset(storage, sel, batch_size=512, **kw):
         sel,
         0,
         OnlineDatasetConfig(batch_size=batch_size, **kw),
-        bytes_parser=criteo_bytes_parser,
+        batch_bytes_parser=criteo_batch_parser,
     )
 
 
@@ -105,7 +109,7 @@ class TestStBDownsampling:
             keys,
             weights,
             batch_size=256,
-            bytes_parser=criteo_bytes_parser,
+            batch_bytes_parser=criteo_batch_parser,
             score_parallelism=4,
         )
         assert res.num_samples == CRITEO_N  # scoring pass covers the whole set
@@ -117,7 +121,7 @@ class TestStBDownsampling:
         with pytest.raises(ValueError, match="downsampler"):
             tr.train_stb(
                 criteo_storage, keys, weights, batch_size=64,
-                bytes_parser=criteo_bytes_parser,
+                batch_bytes_parser=criteo_batch_parser,
             )
 
     def test_stb_downsampler_restored_after_training(self, criteo_storage, selector):
@@ -126,32 +130,69 @@ class TestStBDownsampling:
         tr = Trainer(DlrmLite(seed=0), lr=0.1, downsampler=ds, downsampling_mode="StB")
         tr.train_stb(
             criteo_storage, keys, weights, batch_size=256,
-            bytes_parser=criteo_bytes_parser,
+            batch_bytes_parser=criteo_batch_parser,
         )
         assert tr.downsampler is ds
+
+
+    def test_stb_weights_and_rows_follow_keys(self, criteo_storage, selector, monkeypatch):
+        """The sampled buffer comes back in storage order, not request
+        order; every trained row must still carry its key's weight."""
+        keys, _ = selector.get_all_samples(0)
+        weights = 1.0 + keys / 10.0
+        seen = []
+        train = Trainer.train
+
+        def spy(trainer, dataset):
+            seen.extend(dataset.batches())
+            return train(trainer, dataset)
+
+        monkeypatch.setattr(Trainer, "train", spy)
+        tr = Trainer(
+            DlrmLite(seed=0), lr=0.1, downsampler=UniformDownsampler(ratio=0.5),
+            downsampling_mode="StB",
+        )
+        tr.train_stb(
+            criteo_storage, keys, weights, batch_size=256,
+            batch_bytes_parser=criteo_batch_parser, score_parallelism=2,
+        )
+        assert sum(len(b) for b in seen) == CRITEO_N // 2
+        for b in seen:
+            assert np.allclose(b.weights, 1.0 + b.keys / 10.0)  # uniform: imp == 1
+            assert np.array_equal(b.payloads["label"], b.labels)
 
 
 class TestInMemoryDataset:
     def test_batches_cover_buffer(self, criteo_storage):
         buf = criteo_storage.get_samples(np.arange(500))
-        wmap = {int(k): 1.0 for k in buf.keys}
         ds = InMemoryDataset(
-            buf, wmap, batch_size=128, bytes_parser=criteo_bytes_parser
+            buf, np.ones(len(buf)), batch_size=128, batch_bytes_parser=criteo_batch_parser
         )
         total = sum(len(b) for b in ds.batches())
         assert total == 500
 
     def test_shuffle_changes_order_not_content(self, criteo_storage):
         buf = criteo_storage.get_samples(np.arange(300))
-        wmap = {int(k): 1.0 for k in buf.keys}
-        plain = InMemoryDataset(buf, wmap, batch_size=300, bytes_parser=criteo_bytes_parser)
+        w = np.ones(len(buf))
+        plain = InMemoryDataset(buf, w, batch_size=300, batch_bytes_parser=criteo_batch_parser)
         shuffled = InMemoryDataset(
-            buf, wmap, batch_size=300, bytes_parser=criteo_bytes_parser, shuffle_seed=3
+            buf, w, batch_size=300, batch_bytes_parser=criteo_batch_parser, shuffle_seed=3
         )
         k_plain = next(iter(plain.batches())).keys
         k_shuf = next(iter(shuffled.batches())).keys
         assert not np.array_equal(k_plain, k_shuf)
         assert sorted(k_plain.tolist()) == sorted(k_shuf.tolist())
+
+    def test_weights_aligned_with_buffer_keys(self, criteo_storage):
+        buf = criteo_storage.get_samples(np.arange(300))
+        ds = InMemoryDataset(
+            buf, buf.keys / 10.0, batch_size=64, batch_bytes_parser=criteo_batch_parser,
+            shuffle_seed=1,
+        )
+        for b in ds.batches():
+            assert np.array_equal(b.weights, b.keys / 10.0)
+        with pytest.raises(ValueError, match="weights"):
+            InMemoryDataset(buf, np.ones(3), batch_size=8, batch_bytes_parser=criteo_batch_parser)
 
 
 class TestWeightedTraining:

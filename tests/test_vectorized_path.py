@@ -1,9 +1,8 @@
 """Tests for the throughput hot path: index lookup + vectorized parsing.
 
-The vectorized mode must be observationally identical to the per-sample
-bytes-parser mode — same keys, labels, weights, and payload contents —
-it only changes *where* the parsing happens (one C call per send buffer
-instead of one Python call per sample).
+The batch parsers must equal the per-sample reference parsers stacked —
+same payload contents — they only change *where* the parsing happens
+(one C call per send buffer instead of one Python call per sample).
 """
 import numpy as np
 import pytest
@@ -102,20 +101,6 @@ class TestVectorizedOnlineDataset:
         assert sum(sizes) == CRITEO_N
         assert sum(1 for s in sizes if s < 500) <= 2
 
-    def test_exactly_one_parser_required(self, criteo_storage, selector):
-        cfg = OnlineDatasetConfig(batch_size=10)
-        with pytest.raises(ValueError, match="exactly one"):
-            OnlineDataset(criteo_storage, selector, 0, cfg)
-        with pytest.raises(ValueError, match="exactly one"):
-            OnlineDataset(
-                criteo_storage,
-                selector,
-                0,
-                cfg,
-                bytes_parser=criteo_bytes_parser,
-                batch_bytes_parser=criteo_batch_parser,
-            )
-
     def test_transform_applied_to_batch(self, criteo_storage, selector):
         cfg = OnlineDatasetConfig(batch_size=700, num_workers=1)
         calls = []
@@ -159,16 +144,6 @@ class TestVectorizedLocalDataset:
             assert np.array_equal(arr["label"], labels)
             total += len(labels)
         assert total == 900
-
-    def test_both_parsers_rejected(self, files):
-        with pytest.raises(ValueError, match="at most one"):
-            LocalDataset(
-                files,
-                BinaryFileWrapper(CRITEO_DTYPE),
-                batch_size=8,
-                bytes_parser=criteo_bytes_parser,
-                batch_bytes_parser=criteo_batch_parser,
-            )
 
     def test_transform_in_vectorized_path(self, files):
         seen = []
