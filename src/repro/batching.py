@@ -3,7 +3,8 @@
 ``OnlineDataset`` (§4.2.1) and the ``LocalDataset`` baseline (§5.1.1)
 both run dataloader workers as threads. Each worker parses whole send
 buffers (or file groups) into column chunks, cuts them into
-``batch_size``-row batches with a ``Rebatcher`` and hands them to one
+``batch_size``-row batches with a ``Rebatcher`` — which runs the
+dataset's ``transform`` once per batch it emits — and hands them to one
 consumer, which takes them round-robin across workers (paper Fig. 4).
 
 ``round_robin`` owns the threads of one epoch. Abandoning the generator,
@@ -56,11 +57,20 @@ class Rebatcher:
     """Cuts ``batch_size``-row batches from a stream of column chunks.
 
     Every chunk is a tuple of equal-length arrays (payload batch, labels,
-    ...); rows keep their order across chunk boundaries.
+    ...); rows keep their order across chunk boundaries. ``transform``
+    runs once per emitted batch, on its first column: like Modyn's
+    per-sample transform before collating ``batch_size`` samples, a
+    worker transforms exactly the rows of the batch it is about to emit,
+    never a whole send buffer ahead of it.
     """
 
-    def __init__(self, batch_size: int) -> None:
+    def __init__(
+        self,
+        batch_size: int,
+        transform: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> None:
         self.batch_size = batch_size
+        self.transform = transform
         self._chunks: list[tuple[np.ndarray, ...]] = []
         self._n = 0
 
@@ -84,7 +94,10 @@ class Rebatcher:
             cols = tuple(np.concatenate(c) for c in zip(*self._chunks))
         self._chunks = [tuple(c[n:] for c in cols)] if n < self._n else []
         self._n -= n
-        return tuple(c[:n] for c in cols)
+        first, *rest = (c[:n] for c in cols)
+        if self.transform is not None:
+            first = self.transform(first)
+        return (first, *rest)
 
 
 def round_robin(

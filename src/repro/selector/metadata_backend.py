@@ -91,14 +91,18 @@ class SparkMetadataBackend(MetadataBackend):
             self._rows[t] = self._rows.get(t, 0) + len(pdf)
 
     def df(self, trigger_ids: Sequence[int]) -> DataFrame:
-        """The requested trigger buckets as one Spark DataFrame."""
+        """The requested trigger buckets as one Spark DataFrame.
+
+        Buckets are read with the schema ``persist`` writes, so planning
+        the scan runs no Spark job (no footer read to infer it).
+        """
         frames = []
         for t in trigger_ids:
             if int(t) in self._rows:
                 frames.append(
-                    self.spark.read.parquet(self._bucket(t)).withColumn(
-                        "trigger_id", F.lit(int(t))
-                    )
+                    self.spark.read.schema(_SEEN_SCHEMA)
+                    .parquet(self._bucket(t))
+                    .withColumn("trigger_id", F.lit(int(t)))
                 )
         if not frames:
             return self.spark.createDataFrame(

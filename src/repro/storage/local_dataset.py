@@ -30,7 +30,8 @@ class LocalDataset:
     full batches to a bounded queue; the consumer round-robins workers.
     Each worker reads its files in groups of ``FILES_PER_STEP`` into one
     ``Payloads`` buffer and parses it with one ``batch_bytes_parser``
-    call, the same per-buffer parsing as the ``OnlineDataset``, so the
+    call, the same per-buffer parsing as the ``OnlineDataset``; the
+    ``transform`` runs once per emitted batch, as there, so the
     Modyn-vs-local comparison (T2/T3) is like-for-like. Grouping keeps
     one-sample-per-file datasets (CLOC) from degenerating into
     per-sample Python.
@@ -63,7 +64,7 @@ class LocalDataset:
         emit: Callable[[tuple[np.ndarray, np.ndarray]], None],
         stop: threading.Event,
     ) -> None:
-        rebatch = Rebatcher(self.batch_size)
+        rebatch = Rebatcher(self.batch_size, self.transform)
         my_files = self.files[worker_id :: self.num_workers]
         for g in range(0, len(my_files), self.FILES_PER_STEP):
             group = my_files[g : g + self.FILES_PER_STEP]
@@ -73,10 +74,7 @@ class LocalDataset:
             labels = np.concatenate(
                 [self.file_wrapper.get_labels(path) for path in group]
             )
-            arr = self.batch_bytes_parser(payloads)
-            if self.transform is not None:
-                arr = self.transform(arr)
-            for batch in rebatch.add(arr, labels):
+            for batch in rebatch.add(self.batch_bytes_parser(payloads), labels):
                 emit(batch)
         tail = rebatch.flush()
         if tail is not None:

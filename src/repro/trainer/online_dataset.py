@@ -101,7 +101,7 @@ class OnlineDataset:
 
     ``batch_bytes_parser`` turns one send buffer's ``Payloads`` into one
     batch array (``DataConfig.parser`` lifts a per-sample §3.5 parser
-    into one); ``transform`` then runs once per parsed buffer.
+    into one); ``transform`` then runs once per emitted batch.
     """
 
     def __init__(
@@ -165,8 +165,6 @@ class OnlineDataset:
                 raise item
             buf, (w_keys, w_vals) = item
             arr = self.batch_bytes_parser(buf.payloads)
-            if self.transform is not None:
-                arr = self.transform(arr)
             weights = w_vals[np.searchsorted(w_keys, buf.keys)]
             for cols in rebatch.add(arr, buf.labels, weights, buf.keys):
                 emit(Batch(*cols))
@@ -179,7 +177,7 @@ class OnlineDataset:
         stop: threading.Event,
     ) -> None:
         cfg = self.config
-        rebatch = Rebatcher(cfg.batch_size)
+        rebatch = Rebatcher(cfg.batch_size, self.transform)
         if cfg.prefetched_partitions == 0:
             # No prefetching: fetch each partition on demand, inline.
             for p in range(n_partitions):

@@ -132,7 +132,8 @@ class Trainer:
             keys,
             parallelism=score_parallelism,
         )
-        # Align scores to key order, then importance-sample the subset.
+        # Align the per-distinct-key scores to the request (a key listed
+        # twice gets its score twice), then importance-sample the subset.
         scored = scored.set_index("sample_key").loc[keys]
         idx, imp = self.downsampler.sample(
             scored["score"].to_numpy(), rng=self._rng

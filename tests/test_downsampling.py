@@ -189,3 +189,24 @@ class TestSparkScoringStage:
                 cloc_storage, model, GradNormDownsampler(), cloc_batch_parser,
                 np.array([0, 1, n]),
             )
+
+    def test_duplicate_keys_scored_once(self, cloc_storage):
+        keys = np.array([5, 1, 1, 9, 5, 5, 0])
+        model = SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES, seed=2)
+        ds = GradNormDownsampler(ratio=0.5)
+        scored = score_keys_spark(
+            cloc_storage, model, ds, cloc_batch_parser, keys, parallelism=2
+        )
+        assert sorted(scored["sample_key"]) == [0, 1, 5, 9]
+        local = self._cloc_local(cloc_storage, model, ds, np.array([0, 1, 5, 9]))
+        for k, s in zip(scored["sample_key"], scored["score"]):
+            assert s == local[k]
+
+    def test_unknown_key_among_duplicates_raises(self, cloc_storage):
+        n = cloc_storage.num_samples
+        model = SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES)
+        with pytest.raises(KeyError, match=rf"unknown sample keys.*\b{n + 3}\b"):
+            score_keys_spark(
+                cloc_storage, model, GradNormDownsampler(), cloc_batch_parser,
+                np.array([2, 2, n + 3, n + 3]),
+            )

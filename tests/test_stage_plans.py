@@ -155,16 +155,57 @@ def _spark_jobs(spark, fn) -> int:
 
 
 class TestJobBudget:
-    def test_trigger_time_stages(self, spark, storage, years, tmp_path):
-        for year in years:
-            _ingest(storage, year)
-        storage.registry_df()  # planned once per ingest, not per stage
-        keys = np.arange(0, storage.num_samples, 2)
+    """Each trigger-time stage is exactly the one Spark job doing its work:
+    no schema-inference job when a scan is planned, no job to ship the
+    requested keys."""
 
-        assert 1 <= _spark_jobs(spark, lambda: _score(storage, keys)) <= 3
+    def test_ingest_and_scoring(self, spark, storage, years):
+        keys = np.arange(0, 2 * PER_YEAR, 2)
+        for year in years[:2]:
+            assert _spark_jobs(spark, lambda: _ingest(storage, year)) == 1
+        assert _spark_jobs(spark, lambda: _score(storage, keys)) == 1  # plans the registry
+        assert _spark_jobs(spark, lambda: _score(storage, keys)) == 1
+
+        assert _spark_jobs(spark, lambda: _ingest(storage, years[2])) == 1
+        assert _spark_jobs(spark, storage.registry_df) == 0
+        assert _spark_jobs(spark, lambda: _score(storage, keys)) == 1
         assert 1 <= _spark_jobs(spark, lambda: storage.get_metadata(keys)) <= 2
 
+    @pytest.mark.parametrize("buckets", [1, 3])
+    def test_uniform_select(self, spark, tmp_path, buckets):
         backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
-        backend.persist(0, keys, np.zeros(len(keys)), np.zeros(len(keys)))
-        uniform = UniformRandomStrategy(backend, fraction=0.5, seed=3)
-        assert 1 <= _spark_jobs(spark, lambda: list(uniform.select(0))) <= 2
+        keys = np.arange(60)
+        for t in range(buckets):
+            backend.persist(t, keys + 100 * t, np.zeros(len(keys)), np.zeros(len(keys)))
+        uniform = UniformRandomStrategy(
+            backend, fraction=0.5, seed=3, reset_after_trigger=False
+        )
+        last = buckets - 1
+        assert uniform.scope(last) == list(range(buckets))
+        assert _spark_jobs(spark, lambda: list(uniform.select(last))) == 1
+
+
+class TestDeclaredSchemas:
+    """Stage scans read with declared schemas instead of inferring them;
+    a column that drifts from what the writers produce would read as
+    NULLs, so each declared schema must equal the inferred one."""
+
+    def test_registry_schema_matches_ingested_files(self, spark, storage, years):
+        for year in years[:2]:
+            _ingest(storage, year)
+        inferred = spark.read.parquet(storage.registry_path).schema
+        assert storage.registry_df().schema == inferred
+        assert storage.registry_df().count() == 2 * PER_YEAR
+        assert storage.registry_df().where("file_id IS NULL OR idx IS NULL").count() == 0
+
+    @pytest.mark.parametrize("sizes", [[5], [0], [4, 0, 3]])
+    def test_bucket_schema_matches_persisted_files(self, spark, tmp_path, sizes):
+        backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
+        for n in sizes:
+            backend.persist(7, np.arange(n), np.ones(n), np.full(n, 9))
+        inferred = spark.read.parquet(backend._bucket(7)).schema
+        declared = backend.df([7])
+        assert declared.drop("trigger_id").schema == inferred
+        pdf = declared.toPandas()
+        assert len(pdf) == sum(sizes)
+        assert not pdf.isna().any().any()

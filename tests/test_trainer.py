@@ -134,6 +134,20 @@ class TestStBDownsampling:
         )
         assert tr.downsampler is ds
 
+    def test_stb_duplicate_keys(self, criteo_storage):
+        """A key listed twice is scored once and sampled like any other
+        row of the request: 8 requested rows, half of them trained."""
+        keys = np.array([0, 1, 1, 2, 3, 3, 3, 4])
+        tr = Trainer(
+            DlrmLite(seed=0), lr=0.1, downsampler=GradNormDownsampler(ratio=0.5),
+            downsampling_mode="StB",
+        )
+        res = tr.train_stb(
+            criteo_storage, keys, np.ones(len(keys)), batch_size=4,
+            batch_bytes_parser=criteo_batch_parser, score_parallelism=2,
+        )
+        assert res.num_samples == 8
+        assert res.num_trained_samples == 4
 
     def test_stb_weights_and_rows_follow_keys(self, criteo_storage, selector, monkeypatch):
         """The sampled buffer comes back in storage order, not request

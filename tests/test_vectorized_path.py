@@ -120,6 +120,20 @@ class TestVectorizedOnlineDataset:
         total = sum(len(b) for b in ds.batches())
         assert total == CRITEO_N == sum(calls)
 
+    def test_transform_runs_once_per_emitted_batch(self, criteo_storage, selector):
+        cfg = OnlineDatasetConfig(batch_size=700, num_workers=2)
+        calls = []
+        ds = OnlineDataset(
+            criteo_storage,
+            selector,
+            0,
+            cfg,
+            batch_bytes_parser=criteo_batch_parser,
+            transform=lambda a: (calls.append(len(a)), a)[1],
+        )
+        sizes = [len(b) for b in ds.batches()]
+        assert sorted(calls) == sorted(sizes)
+
 
 class TestVectorizedLocalDataset:
     @pytest.fixture(scope="class")
@@ -155,6 +169,20 @@ class TestVectorizedLocalDataset:
             transform=lambda a: (seen.append(len(a)), a)[1],
         )
         assert sum(len(l) for _, l in ds.batches()) == 900 == sum(seen)
+
+    def test_transform_runs_once_per_emitted_batch(self, files):
+        seen = []
+        ds = LocalDataset(
+            files,
+            BinaryFileWrapper(CRITEO_DTYPE),
+            batch_size=128,
+            num_workers=2,
+            batch_bytes_parser=criteo_batch_parser,
+            transform=lambda a: (seen.append(len(a)), a)[1],
+        )
+        sizes = [len(l) for _, l in ds.batches()]
+        assert sum(sizes) == 900
+        assert sorted(seen) == sorted(sizes)
 
 
 class TestDecodeTransform:
