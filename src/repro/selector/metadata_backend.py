@@ -4,7 +4,8 @@
 appended to a Parquet table partitioned by trigger (mirroring the paper's
 per-pipeline/per-trigger Postgres table partitioning, which keeps insert
 performance flat as triggers accumulate), and selection policies are
-expressed as Spark SQL / DataFrame queries over it.
+expressed as Spark SQL / DataFrame queries over it. Appends are written
+from the driver (``repro.storage.parquet``); Spark only reads.
 
 ``LocalMetadataBackend`` is the C++-extension analog: seen samples are
 written as fixed-record binary files by a thread pool and read back as
@@ -23,10 +24,14 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-SEEN_DTYPE = np.dtype(
-    [("sample_key", "<i8"), ("label", "<i8"), ("timestamp", "<i8")]
-)
-_SEEN_SCHEMA = "sample_key long, label long, timestamp long"
+from repro.storage import parquet
+
+# The seen-sample columns, all int64: the Spark backend's Parquet schemas
+# and the local backend's binary record are derived from this one tuple.
+_SEEN_COLUMNS = ("sample_key", "label", "timestamp")
+SEEN_DTYPE = np.dtype([(c, "<i8") for c in _SEEN_COLUMNS])
+_SEEN_SCHEMA = parquet.spark_ddl(_SEEN_COLUMNS)
+_SEEN_ARROW = parquet.arrow_schema(_SEEN_COLUMNS)
 
 
 class MetadataBackend(ABC):
@@ -72,23 +77,15 @@ class SparkMetadataBackend(MetadataBackend):
         return os.path.join(self.root, f"trigger_id={int(trigger_id)}")
 
     def persist(self, trigger_id, keys, labels, timestamps) -> None:
-        pdf = pd.DataFrame(
-            {
-                "sample_key": np.asarray(keys, np.int64),
-                "label": np.asarray(labels, np.int64),
-                "timestamp": np.asarray(timestamps, np.int64),
-            }
-        )
         # Bulk append into the trigger's own physical partition — the
-        # analog of SQL bulk insertion into a fresh per-trigger table.
-        # The explicit schema lets an empty batch through (Spark cannot
-        # infer one from an empty frame).
-        self.spark.createDataFrame(pdf, _SEEN_SCHEMA).coalesce(1).write.mode(
-            "append"
-        ).parquet(self._bucket(trigger_id))
+        # analog of SQL bulk insertion into a fresh per-trigger table: one
+        # Arrow-built file per call, written from the driver (no Spark
+        # job). An empty batch still writes a file, so the bucket exists
+        # and carries the schema.
+        parquet.append(self._bucket(trigger_id), (keys, labels, timestamps), _SEEN_ARROW)
         with self._lock:
             t = int(trigger_id)
-            self._rows[t] = self._rows.get(t, 0) + len(pdf)
+            self._rows[t] = self._rows.get(t, 0) + len(keys)
 
     def df(self, trigger_ids: Sequence[int]) -> DataFrame:
         """The requested trigger buckets as one Spark DataFrame.

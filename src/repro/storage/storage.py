@@ -17,12 +17,16 @@ Two metadata paths, by design (see DESIGN.md):
 
 - the *stage* path (``registry_df``, ``get_metadata``): Spark scans and
   joins over the Parquet registry — used by selection/scoring *stages*
-  (and tests), where a dataflow stage is the right shape. The registry
-  has a declared schema, written by every ingest and read back as is,
-  so planning a scan launches no Spark job and each stage is the one
-  job that does its work. Each ``Storage`` holds one planned registry
-  scan and reuses it; it is the registry's only writer, and the plan is
-  reset at the ingest commit point, so the plan is never stale.
+  (and tests), where a dataflow stage is the right shape. Spark only
+  reads the registry: each ingest appends one Arrow-built Parquet file
+  from the driver (``repro.storage.parquet``, committed by an atomic
+  rename), so an ingest launches no Spark job. The registry has a
+  declared schema, written by every ingest and read back as is, so
+  planning a scan launches no Spark job either and each stage is the
+  one job that does its work. Each ``Storage`` holds one planned
+  registry scan and reuses it; it is the registry's only writer, and
+  the plan is reset at the ingest commit point, so the plan is never
+  stale.
 - ``lookup``: the *hot* per-request path. The paper's Postgres point
   lookups cost milliseconds; a Spark job costs hundreds of milliseconds
   of driver-serialized overhead, which would invert every scaling trend
@@ -47,6 +51,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.storage import parquet
 from repro.storage.file_wrappers import FileWrapper
 from repro.storage.payloads import Payloads
 
@@ -67,8 +72,9 @@ _DB_PER_KEY_S = float(os.environ.get("REPRO_DB_PER_KEY_US", "20.0")) / 1e6
 
 # Declared registry schema: ingest writes it and ``registry_df`` reads
 # with it, so planning a scan never runs a Spark schema-inference job.
-_REGISTRY_SCHEMA = "sample_key long, file_id long, idx long, label long, timestamp long"
-_REGISTRY_COLUMNS = [c.split()[0] for c in _REGISTRY_SCHEMA.split(", ")]
+_REGISTRY_COLUMNS = ("sample_key", "file_id", "idx", "label", "timestamp")
+_REGISTRY_SCHEMA = parquet.spark_ddl(_REGISTRY_COLUMNS)
+_REGISTRY_ARROW = parquet.arrow_schema(_REGISTRY_COLUMNS)
 
 
 @dataclass
@@ -154,59 +160,59 @@ class Storage:
         """Register a batch of payload files; returns the new sample keys.
 
         Mirrors the paper's ingest: each file is opened through the
-        wrapper, its samples and labels extracted, and one bulk append
-        (the COPY analog, and the ingest's only Spark job) is written to
-        the Parquet registry.
+        wrapper for its sample count and labels, and the whole batch is
+        one bulk append to the Parquet registry (the COPY analog): one
+        Arrow-built file written from the driver, so no Spark job runs.
         ``timestamps`` gives one arrival timestamp per *file* (all samples
-        of a file share it), defaulting to 0.
+        of a file share it), defaulting to 0. An empty ``paths`` writes
+        nothing.
         """
         if timestamps is not None and len(timestamps) != len(paths):
             raise ValueError("one timestamp per file required")
+        if len(paths) == 0:
+            return np.empty(0, np.int64)
         with self._ingest_lock:
             next_key, next_file_id = self._next_key, self._next_file_id
-            frames, index = [], []
+            counts = np.empty(len(paths), np.int64)
+            labels = []
             for i, path in enumerate(paths):
-                n = self.file_wrapper.get_number_of_samples(path)
-                labels = self.file_wrapper.get_labels(path)
-                if len(labels) != n:
+                counts[i] = self.file_wrapper.get_number_of_samples(path)
+                labels.append(self.file_wrapper.get_labels(path))
+                if len(labels[-1]) != counts[i]:
                     raise ValueError(
-                        f"{path}: {n} samples but {len(labels)} labels"
+                        f"{path}: {counts[i]} samples but {len(labels[-1])} labels"
                     )
-                ts = int(timestamps[i]) if timestamps is not None else 0
-                file_ids = np.full(n, next_file_id + i, np.int64)
-                positions = np.arange(n, dtype=np.int64)
-                labels = labels.astype(np.int64)
-                index.append((file_ids, positions, labels))
-                frames.append(
-                    pd.DataFrame(
-                        {
-                            "sample_key": np.arange(next_key, next_key + n, dtype=np.int64),
-                            "file_id": file_ids,
-                            "idx": positions,
-                            "label": labels,
-                            "timestamp": np.full(n, ts, np.int64),
-                        }
-                    )
-                )
-                next_key += n
-            batch = pd.concat(frames, ignore_index=True)
+            n = int(counts.sum())
+            keys = np.arange(next_key, next_key + n, dtype=np.int64)
+            file_ids = np.repeat(
+                np.arange(next_file_id, next_file_id + len(paths), dtype=np.int64), counts
+            )
+            # position in the file: offset in the batch minus the file's start
+            starts = np.cumsum(counts) - counts
+            positions = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
+            labels = np.concatenate(labels).astype(np.int64, copy=False)
+            ts = np.repeat(
+                np.zeros(len(paths), np.int64)
+                if timestamps is None
+                else np.asarray(timestamps, np.int64),
+                counts,
+            )
             # The registry append is the commit point: the hot-path index
             # learns the new keys only once the registry holds them, so a
             # failed write leaves both exactly as they were.
-            self.spark.createDataFrame(batch, _REGISTRY_SCHEMA).coalesce(1).write.mode(
-                "append"
-            ).parquet(self.registry_path)
+            parquet.append(
+                self.registry_path, (keys, file_ids, positions, labels, ts), _REGISTRY_ARROW
+            )
             with self._lock:
-                for i, (path, (file_ids, positions, labels)) in enumerate(zip(paths, index)):
-                    self._files[next_file_id + i] = path
-                    self._idx_file.append(file_ids)
-                    self._idx_pos.append(positions)
-                    self._idx_label.append(labels)
-                self._next_key = next_key
+                self._files.update(zip(range(next_file_id, next_file_id + len(paths)), paths))
+                self._idx_file.append(file_ids)
+                self._idx_pos.append(positions)
+                self._idx_label.append(labels)
+                self._next_key = next_key + n
                 self._next_file_id = next_file_id + len(paths)
                 self._registry = None
                 self._registry_gen += 1
-        return batch["sample_key"].to_numpy(np.int64)
+        return keys
 
     def ingest_file(self, path: str, *, timestamp: int = 0) -> np.ndarray:
         """Register a single payload file (convenience wrapper)."""

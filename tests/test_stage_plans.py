@@ -11,8 +11,9 @@ import threading
 import uuid
 
 import numpy as np
+import pyarrow.parquet as pq
 import pytest
-from pyspark.sql.readwriter import DataFrameReader, DataFrameWriter
+from pyspark.sql.readwriter import DataFrameReader
 
 from repro.models import SoftmaxRegression
 from repro.selector.downsampling import GradNormDownsampler, score_keys_spark
@@ -76,11 +77,11 @@ class TestRegistryPlan:
         _ingest(storage, years[0])
         assert storage.registry_df().count() == PER_YEAR
 
-        def failing_write(self, *args, **kwargs):
+        def failing_write(*args, **kwargs):
             raise OSError("injected registry write failure")
 
         with monkeypatch.context() as m:
-            m.setattr(DataFrameWriter, "parquet", failing_write)
+            m.setattr(pq, "write_table", failing_write)
             with pytest.raises(OSError, match="injected"):
                 _ingest(storage, years[1])
         assert storage.registry_df().count() == PER_YEAR
@@ -157,16 +158,17 @@ def _spark_jobs(spark, fn) -> int:
 class TestJobBudget:
     """Each trigger-time stage is exactly the one Spark job doing its work:
     no schema-inference job when a scan is planned, no job to ship the
-    requested keys."""
+    requested keys. Appends (ingest, selector persist) are written from
+    the driver and launch no Spark job at all."""
 
     def test_ingest_and_scoring(self, spark, storage, years):
         keys = np.arange(0, 2 * PER_YEAR, 2)
         for year in years[:2]:
-            assert _spark_jobs(spark, lambda: _ingest(storage, year)) == 1
+            assert _spark_jobs(spark, lambda: _ingest(storage, year)) == 0
         assert _spark_jobs(spark, lambda: _score(storage, keys)) == 1  # plans the registry
         assert _spark_jobs(spark, lambda: _score(storage, keys)) == 1
 
-        assert _spark_jobs(spark, lambda: _ingest(storage, years[2])) == 1
+        assert _spark_jobs(spark, lambda: _ingest(storage, years[2])) == 0
         assert _spark_jobs(spark, storage.registry_df) == 0
         assert _spark_jobs(spark, lambda: _score(storage, keys)) == 1
         assert 1 <= _spark_jobs(spark, lambda: storage.get_metadata(keys)) <= 2
@@ -183,6 +185,14 @@ class TestJobBudget:
         last = buckets - 1
         assert uniform.scope(last) == list(range(buckets))
         assert _spark_jobs(spark, lambda: list(uniform.select(last))) == 1
+
+    @pytest.mark.parametrize("n", [60, 0])
+    def test_persist(self, spark, tmp_path, n):
+        backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
+        for t in (0, 0, 1):
+            persist = lambda: backend.persist(t, np.arange(n), np.zeros(n), np.zeros(n))  # noqa: E731
+            assert _spark_jobs(spark, persist) == 0
+        assert backend.count([0, 1]) == 3 * n
 
 
 class TestDeclaredSchemas:

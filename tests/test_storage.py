@@ -3,13 +3,21 @@
 Registry correctness is cross-checked against DuckDB via the oracle;
 payload retrieval is checked byte-for-byte against the generator.
 """
+import os
+
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.storage import BinaryFileWrapper, Storage
-from repro.synth_data import CRITEO_DTYPE, criteo_lite_array, generate_criteo_files
+from repro.storage import BinaryFileWrapper, SingleSampleFileWrapper, Storage
+from repro.synth_data import (
+    CRITEO_DTYPE,
+    criteo_lite_array,
+    generate_cloc_files,
+    generate_criteo_files,
+)
 from tests.conftest import CRITEO_N, CRITEO_PER_FILE
 
 
@@ -67,6 +75,79 @@ class TestIngest:
         k2 = st.ingest_files(paths[1:], timestamps=days[1:])
         assert st.num_samples == 60
         assert len(np.intersect1d(k1, k2)) == 0
+
+    def test_empty_ingest_writes_nothing(self, spark, tmp_path):
+        paths, days = generate_criteo_files(
+            str(tmp_path / "d"), n_samples=20, samples_per_file=10
+        )
+        st = Storage(spark, str(tmp_path / "s"), BinaryFileWrapper(CRITEO_DTYPE))
+        keys = st.ingest_files([])
+        assert keys.dtype == np.int64 and len(keys) == 0
+        assert not os.path.exists(st.registry_path)
+
+        st.ingest_files(paths[:1], timestamps=days[:1])
+        files = sorted(os.listdir(st.registry_path))
+        plan, gen = st.registry_df(), st._registry_gen
+        assert len(st.ingest_files([], timestamps=[])) == 0
+        assert sorted(os.listdir(st.registry_path)) == files
+        assert st._registry_gen == gen and st.registry_df() is plan
+        assert st.num_samples == 10
+        assert st.ingest_files(paths[1:], timestamps=days[1:]).tolist() == list(range(10, 20))
+
+
+def _reference_registry(wrapper, batches):
+    """The registry rows the ingests ``batches`` must produce, built one
+    file and one sample at a time: dense keys in ingest order, one
+    ``file_id`` per file, ``idx`` counting from 0 in each file, the
+    file's labels and the file's timestamp (0 when none is given)."""
+    rows, key, file_id = [], 0, 0
+    for paths, stamps in batches:
+        for i, path in enumerate(paths):
+            labels = wrapper.get_labels(path)
+            for idx, label in enumerate(labels):
+                ts = 0 if stamps is None else stamps[i]
+                rows.append((key, file_id, idx, int(label), ts))
+                key += 1
+            file_id += 1
+    return pd.DataFrame(
+        rows, columns=["sample_key", "file_id", "idx", "label", "timestamp"]
+    ).astype("int64")
+
+
+@pytest.mark.parametrize("with_timestamps", [True, False])
+@pytest.mark.parametrize("kind", ["criteo", "cloc"])
+def test_registry_content_matches_reference(spark, tmp_path, kind, with_timestamps):
+    """Two ingests (multi-sample criteo files or one-sample cloc files)
+    append exactly the reference rows."""
+    if kind == "criteo":
+        paths, stamps = generate_criteo_files(
+            str(tmp_path / "d"), n_samples=70, samples_per_file=10, n_days=3
+        )
+        wrapper = BinaryFileWrapper(CRITEO_DTYPE)
+    else:
+        paths, stamps = generate_cloc_files(
+            str(tmp_path / "d"), per_year=6, years=(2004, 2005), n_classes=4, dim=3
+        )
+        wrapper = SingleSampleFileWrapper()
+    if not with_timestamps:
+        stamps = None
+    cut = len(paths) // 3
+    batches = [
+        (paths[:cut], stamps and stamps[:cut]),
+        (paths[cut:], stamps and stamps[cut:]),
+    ]
+    st = Storage(spark, str(tmp_path / "s"), wrapper)
+    for batch_paths, batch_stamps in batches:
+        st.ingest_files(batch_paths, timestamps=batch_stamps)
+
+    want = _reference_registry(wrapper, batches)
+    got = st.registry_df().toPandas().sort_values("sample_key", ignore_index=True)
+    pd.testing.assert_frame_equal(got, want)
+    file_ids, positions, labels = st.lookup(want["sample_key"].to_numpy())
+    assert np.array_equal(file_ids, want["file_id"].to_numpy())
+    assert np.array_equal(positions, want["idx"].to_numpy())
+    assert np.array_equal(labels, want["label"].to_numpy())
+    assert st.file_paths() == dict(enumerate(paths))
 
 
 class TestRetrieval:
