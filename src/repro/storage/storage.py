@@ -77,6 +77,15 @@ _REGISTRY_SCHEMA = parquet.spark_ddl(_REGISTRY_COLUMNS)
 _REGISTRY_ARROW = parquet.arrow_schema(_REGISTRY_COLUMNS)
 
 
+def _known(keys: np.ndarray, n: int) -> np.ndarray:
+    """``keys`` as int64; ``KeyError`` unless every key is in ``[0, n)``."""
+    keys = np.asarray(keys, np.int64)
+    if len(keys) and (keys.min() < 0 or keys.max() >= n):
+        bad = keys[(keys < 0) | (keys >= n)]
+        raise KeyError(f"unknown sample keys (first few): {bad[:5].tolist()}")
+    return keys
+
+
 @dataclass
 class SampleBuffer:
     """One send buffer emitted by the storage (gRPC-streaming analog)."""
@@ -122,7 +131,7 @@ class Storage:
         self.file_wrapper = file_wrapper
         self.send_buffer_size = send_buffer_size
         self.registry_path = os.path.join(root, "registry")
-        self._files: dict[int, str] = {}  # file_id -> path (small; driver cache)
+        self._files: dict[int, str] = {}  # file_id -> path (one entry per ingested file)
         self._next_key = 0
         self._next_file_id = 0
         self._lock = threading.Lock()  # guards the hot-path index and registry plan
@@ -239,10 +248,17 @@ class Storage:
                 self._registry = plan
         return plan
 
-    def file_paths(self) -> dict[int, str]:
-        """Snapshot of the registered ``file_id -> path`` map."""
+    def file_paths(self, keys: np.ndarray) -> dict[int, str]:
+        """``file_id -> path`` for the files holding ``keys``.
+
+        Read from the hot-path index without the modeled DB latency (a
+        stage's driver-side set-up, not a per-request query). Raises
+        ``KeyError`` for unknown keys, as ``lookup`` does.
+        """
+        file_by_key = self._index()[0]
+        file_ids = np.unique(file_by_key[_known(keys, len(file_by_key))])
         with self._lock:
-            return dict(self._files)
+            return {f: self._files[f] for f in file_ids.tolist()}
 
     @property
     def num_samples(self) -> int:
@@ -299,11 +315,8 @@ class Storage:
         simulated DB round-trip latency scaling with the request size
         (see module doc). Raises ``KeyError`` for unknown keys.
         """
-        keys = np.asarray(keys, np.int64)
         file_by_key, pos_by_key, label_by_key = self._index()
-        if len(keys) and (keys.min() < 0 or keys.max() >= len(file_by_key)):
-            bad = keys[(keys < 0) | (keys >= len(file_by_key))]
-            raise KeyError(f"unknown sample keys (first few): {bad[:5].tolist()}")
+        keys = _known(keys, len(file_by_key))
         time.sleep(_DB_BASE_S + _DB_PER_KEY_S * len(keys))
         return file_by_key[keys], pos_by_key[keys], label_by_key[keys]
 

@@ -77,6 +77,10 @@ class TestSampling:
         idx, _ = ds.sample(np.ones(5), rng=rng, n_keep=50)
         assert len(idx) == 5
 
+    def test_empty_scores_sample_nothing(self, rng):
+        idx, w = GradNormDownsampler(ratio=0.5).sample(np.empty(0), rng=rng)
+        assert idx.dtype == np.int64 and len(idx) == 0 and len(w) == 0
+
     def test_importance_weights_are_inverse_probability(self, rng):
         scores = np.array([1.0, 3.0, 6.0, 10.0])
         ds = GradNormDownsampler(ratio=0.5)

@@ -141,6 +141,34 @@ class TestRegistryPlan:
         assert storage.registry_df().count() == storage.num_samples == 3 * PER_YEAR
 
 
+class TestScoringClosure:
+    def test_ships_only_the_requested_keys_files(self, storage, years, monkeypatch):
+        """The task closure maps exactly the files holding the requested
+        keys: here one year's files out of three ingested years."""
+        for year in years:
+            _ingest(storage, year)
+        keys = np.arange(PER_YEAR, 2 * PER_YEAR)  # the second year
+        shipped = []
+        file_paths = Storage.file_paths
+
+        def recording(self, want):
+            shipped.append(file_paths(self, want))
+            return shipped[-1]
+
+        monkeypatch.setattr(Storage, "file_paths", recording)
+        scored = _score(storage, keys)
+        assert sorted(scored["sample_key"]) == keys.tolist()
+        # one file per sample, ingested in order: file id == sample key
+        assert shipped == [dict(zip(keys.tolist(), years[1][0]))]
+
+    def test_file_paths_reject_unknown_keys(self, storage, years):
+        _ingest(storage, years[0])
+        assert storage.file_paths(np.array([3, 3, 1])) == {1: years[0][0][1], 3: years[0][0][3]}
+        for bad in ([PER_YEAR], [-1], [0, PER_YEAR]):
+            with pytest.raises(KeyError, match="unknown sample keys"):
+                storage.file_paths(np.array(bad))
+
+
 def _spark_jobs(spark, fn) -> int:
     """Number of Spark jobs ``fn()`` launches."""
     sc = spark.sparkContext
@@ -172,6 +200,15 @@ class TestJobBudget:
         assert _spark_jobs(spark, storage.registry_df) == 0
         assert _spark_jobs(spark, lambda: _score(storage, keys)) == 1
         assert 1 <= _spark_jobs(spark, lambda: storage.get_metadata(keys)) <= 2
+
+    def test_unknown_key_fails_before_any_job(self, spark, storage, years):
+        _ingest(storage, years[0])
+
+        def score_unknown():
+            with pytest.raises(KeyError, match="unknown sample keys"):
+                _score(storage, np.array([0, storage.num_samples]))
+
+        assert _spark_jobs(spark, score_unknown) == 0
 
     @pytest.mark.parametrize("buckets", [1, 3])
     def test_uniform_select(self, spark, tmp_path, buckets):

@@ -147,7 +147,7 @@ def test_registry_content_matches_reference(spark, tmp_path, kind, with_timestam
     assert np.array_equal(file_ids, want["file_id"].to_numpy())
     assert np.array_equal(positions, want["idx"].to_numpy())
     assert np.array_equal(labels, want["label"].to_numpy())
-    assert st.file_paths() == dict(enumerate(paths))
+    assert st.file_paths(want["sample_key"].to_numpy()) == dict(enumerate(paths))
 
 
 class TestRetrieval:

@@ -15,6 +15,7 @@ from repro.selector.trigger_sample_storage import TriggerSampleStorage
 from repro.synth_data import criteo_batch_parser
 from repro.trainer import InMemoryDataset, OnlineDataset, OnlineDatasetConfig, Trainer
 from tests.conftest import CRITEO_N
+from tests.test_stage_plans import _spark_jobs
 
 
 @pytest.fixture()
@@ -148,6 +149,25 @@ class TestStBDownsampling:
         )
         assert res.num_samples == 8
         assert res.num_trained_samples == 4
+
+    def test_stb_empty_trigger_set(self, spark, criteo_storage):
+        """An empty trigger set (presampling kept nothing) gives what
+        ``train`` gives for an empty dataset, with no Spark job."""
+        tr = Trainer(
+            DlrmLite(seed=0), lr=0.1, epochs=2, downsampler=GradNormDownsampler(),
+            downsampling_mode="StB",
+        )
+        results = []
+        train = lambda: results.append(  # noqa: E731
+            tr.train_stb(
+                criteo_storage, np.empty(0, np.int64), np.empty(0), batch_size=64,
+                batch_bytes_parser=criteo_batch_parser,
+            )
+        )
+        assert _spark_jobs(spark, train) == 0
+        res = results[0]
+        assert (res.num_samples, res.num_trained_samples, res.num_batches) == (0, 0, 0)
+        assert len(res.epoch_losses) == 2 and np.isnan(res.epoch_losses).all()
 
     def test_stb_weights_and_rows_follow_keys(self, criteo_storage, selector, monkeypatch):
         """The sampled buffer comes back in storage order, not request
