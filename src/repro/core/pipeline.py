@@ -210,19 +210,24 @@ class Pipeline:
         return model
 
     def _evaluate(self, result: PipelineResult, parser) -> None:
+        """One read per evaluation set, over every model for the accuracy
+        matrix (rows = models, columns = sets) or else over its trigger's
+        model; ``evaluations`` is the diagonal of the same pass."""
         ev_cfg = self.config.evaluation
         evaluator = Evaluator(self.storage, batch_bytes_parser=parser)
-        for info in result.trigger_infos:
-            model = self._load_model(result, info.trigger_id)
-            result.evaluations[info.trigger_id] = evaluator.evaluate(
-                model, result.seen_keys[info.trigger_id], ev_cfg.metrics
+        models = {
+            info.trigger_id: self._load_model(result, info.trigger_id)
+            for info in result.trigger_infos
+        }
+        metric_names = list(dict.fromkeys([*ev_cfg.metrics, "Accuracy"]))
+        columns = {}
+        # every trigger window with seen keys fired, so sets and models
+        # share their ids
+        for t, keys in sorted(result.seen_keys.items()):
+            values = evaluator.evaluate(
+                models if ev_cfg.matrix else {t: models[t]}, keys, metric_names
             )
+            result.evaluations[t] = {m: values[t][m] for m in ev_cfg.metrics}
+            columns[t] = {k: v["Accuracy"] for k, v in values.items()}
         if ev_cfg.matrix:
-            models = {
-                info.trigger_id: self._load_model(result, info.trigger_id)
-                for info in result.trigger_infos
-            }
-            eval_sets = {
-                t: result.seen_keys[t] for t in sorted(result.seen_keys)
-            }
-            result.accuracy_matrix = evaluator.accuracy_matrix(models, eval_sets)
+            result.accuracy_matrix = pd.DataFrame(columns)

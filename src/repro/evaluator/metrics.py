@@ -74,6 +74,8 @@ class RocAuc(HolisticMetric):
         self._labels.append(np.asarray(labels, np.int64))
 
     def result(self) -> float:
+        if not self._scores:
+            return float("nan")
         scores = np.concatenate(self._scores)
         labels = np.concatenate(self._labels)
         n_pos = int((labels == 1).sum())

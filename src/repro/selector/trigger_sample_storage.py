@@ -12,6 +12,7 @@ partition is assembled across chunk-file boundaries by offset arithmetic
 from __future__ import annotations
 
 import os
+import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator
@@ -59,9 +60,16 @@ class TriggerSampleStorage:
         ``partitions`` yields ``(keys, weights)`` per partition — the
         strategy passes partitions one at a time (never the whole set) to
         bound memory, as in the paper.
+
+        The set is written into ``trigger_<id>.tmp/`` and renamed over
+        ``trigger_<id>/`` only once every partition is written, so a persist
+        that fails part-way leaves no partitions behind for a retry of the
+        same trigger id to be mixed with.
         """
         tdir = self._trigger_dir(pipeline_id, trigger_id)
-        os.makedirs(tdir, exist_ok=True)
+        tmp = tdir + ".tmp"
+        shutil.rmtree(tmp, ignore_errors=True)
+        os.makedirs(tmp)
 
         def _write(path: str, chunk: np.ndarray) -> None:
             with open(path, "wb") as f:
@@ -76,11 +84,15 @@ class TriggerSampleStorage:
                 arr["weight"] = np.asarray(weights, np.float64)
                 chunks = np.array_split(arr, self.n_write_threads)
                 paths = [
-                    os.path.join(tdir, f"partition_{p:06d}_chunk_{i:03d}.bin")
+                    os.path.join(tmp, f"partition_{p:06d}_chunk_{i:03d}.bin")
                     for i in range(len(chunks))
                 ]
                 list(pool.map(_write, paths, chunks))
                 n_parts += 1
+        # a retry after a later failure (e.g. in post_trigger) persists the
+        # same id again; rename cannot replace a non-empty directory
+        shutil.rmtree(tdir, ignore_errors=True)
+        os.rename(tmp, tdir)
         return n_parts
 
     # ------------------------------------------------------------- reading

@@ -4,6 +4,9 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import Pipeline
+from repro.evaluator import Evaluator
+from repro.model_storage.model_storage import ModelStorage
+from repro.storage.storage import Storage
 from tests.conftest import (
     CLOC_CLASSES,
     CLOC_DIM,
@@ -45,12 +48,60 @@ def _cloc_config(pipeline_id, **overrides):
     return PipelineConfig.from_dict(d)
 
 
+def _run_recording_evaluation(spark, storage, workdir, cfg):
+    """Run ``cfg`` and record what its evaluation reads: the keys of each
+    ``Storage.get_samples`` call, the trigger id of each
+    ``ModelStorage.load`` and the model ids of each ``Evaluator.evaluate``."""
+    reads = {"get_samples": [], "load": [], "evaluate": []}
+    evaluating = False
+    _evaluate, get_samples = Pipeline._evaluate, Storage.get_samples
+    load, evaluate = ModelStorage.load, Evaluator.evaluate
+
+    def in_evaluation(self, *args):
+        nonlocal evaluating
+        evaluating = True
+        try:
+            return _evaluate(self, *args)
+        finally:
+            evaluating = False
+
+    def recording_get_samples(self, keys, **kwargs):
+        if evaluating:
+            reads["get_samples"].append(sorted(np.asarray(keys).tolist()))
+        return get_samples(self, keys, **kwargs)
+
+    def recording_load(self, trigger_id):
+        if evaluating:
+            reads["load"].append(trigger_id)
+        return load(self, trigger_id)
+
+    def recording_evaluate(self, models, keys, metric_names):
+        reads["evaluate"].append(list(models))
+        return evaluate(self, models, keys, metric_names)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Pipeline, "_evaluate", in_evaluation)
+        m.setattr(Storage, "get_samples", recording_get_samples)
+        m.setattr(ModelStorage, "load", recording_load)
+        m.setattr(Evaluator, "evaluate", recording_evaluate)
+        result = Pipeline(spark, cfg, storage, workdir).run_experiment(
+            announce_batch_size=50
+        )
+    return result, reads
+
+
 @pytest.fixture(scope="module")
-def full_run(spark, cloc_storage, tmp_path_factory):
-    """One full-data pipeline run over the 3-year cloc_lite stream."""
-    cfg = _cloc_config("full")
-    pipe = Pipeline(spark, cfg, cloc_storage, str(tmp_path_factory.mktemp("wd")))
-    return pipe.run_experiment(announce_batch_size=50)
+def full_run_reads(spark, cloc_storage, tmp_path_factory):
+    """One full-data pipeline run over the 3-year cloc_lite stream, with
+    the reads its evaluation made."""
+    return _run_recording_evaluation(
+        spark, cloc_storage, str(tmp_path_factory.mktemp("wd")), _cloc_config("full")
+    )
+
+
+@pytest.fixture(scope="module")
+def full_run(full_run_reads):
+    return full_run_reads[0]
 
 
 class TestFullDataPipeline:
@@ -90,6 +141,36 @@ class TestFullDataPipeline:
         assert set(full_run.evaluations) == {0, 1, 2}
         for v in full_run.evaluations.values():
             assert "Accuracy" in v
+
+
+class TestEvaluationReads:
+    """Evaluation is data-major: each evaluation set is read once and
+    every model is loaded once, however many (model, set) cells there are."""
+
+    def test_one_read_per_evaluation_set(self, full_run_reads):
+        result, reads = full_run_reads
+        assert reads["get_samples"] == [
+            sorted(result.seen_keys[t].tolist()) for t in sorted(result.seen_keys)
+        ]
+        assert reads["evaluate"] == [[0, 1, 2]] * 3
+
+    def test_one_load_per_stored_model(self, full_run_reads):
+        result, reads = full_run_reads
+        assert sorted(reads["load"]) == result.model_storage.stored_triggers == [0, 1, 2]
+
+    def test_without_matrix_each_set_is_evaluated_for_its_model(
+        self, spark, cloc_storage, full_run, tmp_path
+    ):
+        cfg = _cloc_config("full", evaluation={"metrics": ["Accuracy"], "matrix": False})
+        result, reads = _run_recording_evaluation(
+            spark, cloc_storage, str(tmp_path / "wd"), cfg
+        )
+        assert result.accuracy_matrix is None
+        mat = full_run.accuracy_matrix
+        assert result.evaluations == {t: {"Accuracy": mat.loc[t, t]} for t in (0, 1, 2)}
+        assert reads["evaluate"] == [[0], [1], [2]]
+        assert len(reads["get_samples"]) == 3
+        assert sorted(reads["load"]) == [0, 1, 2]
 
 
 class TestPipelineVariants:

@@ -111,6 +111,29 @@ class TestTriggerSampleStorage:
         k, w = tss.get_all_samples("pipe", 0)
         assert len(k) == 0 and len(w) == 0
 
+    def test_retry_after_failed_persist_keeps_no_stale_partitions(self, tmp_path):
+        tss = TriggerSampleStorage(str(tmp_path / "tss"))
+
+        def fails_after_two():
+            yield np.arange(10), np.ones(10)
+            yield np.arange(10, 20), np.ones(10)
+            raise RuntimeError("selection failed")
+
+        with pytest.raises(RuntimeError):
+            tss.persist("pipe", 0, fails_after_two())
+        assert tss.num_partitions("pipe", 0) == 0
+        assert tss.persist("pipe", 0, [(np.arange(100, 110), np.ones(10))]) == 1
+        assert tss.num_partitions("pipe", 0) == 1
+        k, _ = tss.get_all_samples("pipe", 0)
+        assert np.array_equal(k, np.arange(100, 110))
+
+    def test_persist_replaces_an_earlier_set_of_the_same_trigger(self, tmp_path):
+        tss = TriggerSampleStorage(str(tmp_path / "tss"))
+        tss.persist("pipe", 0, [(np.arange(5), np.ones(5)), (np.arange(5, 9), np.ones(4))])
+        assert tss.persist("pipe", 0, [(np.arange(50, 53), np.ones(3))]) == 1
+        assert tss.num_partitions("pipe", 0) == 1
+        assert np.array_equal(tss.get_all_samples("pipe", 0)[0], np.arange(50, 53))
+
     @settings(max_examples=20, deadline=None)
     @given(
         total=st.integers(1, 200),
