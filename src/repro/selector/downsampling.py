@@ -27,7 +27,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import functions as F
 
 from repro.core.registry import DOWNSAMPLERS
 from repro.models.base import Model
@@ -163,9 +162,10 @@ def score_keys_spark(
 ) -> pd.DataFrame:
     """Distributed StB scoring pass: (sample_key, score) per distinct key.
 
-    One Spark plan, one Spark job: the storage's registry scan with
-    ``sample_key BETWEEN min AND max`` pushed down (Parquet statistics
-    skip row groups outside the range), coalesced to at most
+    One Spark plan, one Spark job: a scan of just the registry files of
+    the ingests holding the keys (``Storage.registry_df(keys)``; no key
+    filter in the plan, so its generated code is compiled once, not once
+    per trigger), coalesced to at most
     ``parallelism`` tasks (narrow, no shuffle), then the model forward
     pass inside ``mapInPandas`` on the executors, collected once — no
     metadata round trip through the driver. The sorted distinct keys
@@ -184,10 +184,11 @@ def score_keys_spark(
     3.11), and after it a reused worker skips them, so only a worker's
     first scoring task pays them.
 
-    Traffic: a dense key set (every trigger set the benchmarks build)
-    sends exactly the requested rows to Python. A sparse set holding a
-    fraction ``f`` of its key range also sends about ``1/f`` 32-byte
-    metadata rows per key, small next to the payload reads.
+    Traffic: a key set that is whole ingests (every trigger set the
+    benchmarks build: one year's ingest) sends exactly the requested
+    rows to Python. Otherwise the other rows of the ingests it touches
+    travel too, as 32-byte metadata rows, small next to the payload
+    reads.
 
     Returns one row per distinct key, in no particular order. Raises
     ``KeyError`` for keys the storage does not hold, before any Spark
@@ -196,13 +197,12 @@ def score_keys_spark(
     want = np.unique(np.asarray(keys, np.int64))  # sorted, distinct
     if len(want) == 0:
         return pd.DataFrame({"sample_key": pd.Series(dtype="int64"), "score": pd.Series(dtype="float64")})
+    paths = storage.file_paths(want)  # raises KeyError before any Spark job
     rows = (
-        storage.registry_df()
-        .where(F.col("sample_key").between(int(want[0]), int(want[-1])))
+        storage.registry_df(want)
         .select("sample_key", "file_id", "idx", "label")
         .coalesce(parallelism)
     )
-    paths = storage.file_paths(want)  # raises KeyError before any Spark job
     wrapper = storage.file_wrapper
 
     def _score(batches):

@@ -33,6 +33,15 @@ SEEN_DTYPE = np.dtype([(c, "<i8") for c in _SEEN_COLUMNS])
 _SEEN_SCHEMA = parquet.spark_ddl(_SEEN_COLUMNS)
 _SEEN_ARROW = parquet.arrow_schema(_SEEN_COLUMNS)
 
+# Spark compiles a plan's constants into its generated code, and every
+# query on the Spark backend carries per-trigger ones (the trigger id
+# column, a strategy's random seed): each trigger would compile new
+# classes, about 20-60 ms per query. Up to this many rows evaluating the
+# plan interpreted costs no more than that (measured on 4 cores: level
+# at 1e5 rows, codegen ahead from about 3e5), so smaller queries run in
+# an interpreted session.
+_INTERPRETED_MAX_ROWS = 100_000
+
 
 class MetadataBackend(ABC):
     """Persists samples seen by the selector, bucketed by trigger id."""
@@ -61,10 +70,19 @@ class MetadataBackend(ABC):
 
 
 class SparkMetadataBackend(MetadataBackend):
-    """Parquet-per-trigger metadata store queried through Spark SQL."""
+    """Parquet-per-trigger metadata store queried through Spark SQL.
+
+    Queries over at most ``_INTERPRETED_MAX_ROWS`` rows are planned in
+    ``interpreted``: a session sharing ``spark``'s context whose plans
+    run without generated code. It answers with the same rows, in the
+    same order, as ``spark`` would.
+    """
 
     def __init__(self, spark: SparkSession, root: str, *, pipeline_id: str = "p0"):
         self.spark = spark
+        self.interpreted = spark.newSession()
+        self.interpreted.conf.set("spark.sql.codegen.wholeStage", "false")
+        self.interpreted.conf.set("spark.sql.codegen.factoryMode", "NO_CODEGEN")
         # Partition by pipeline first, then trigger — the paper's layout.
         self.root = os.path.join(root, f"pipeline={pipeline_id}")
         # rows persisted per trigger bucket: which buckets exist, and
@@ -91,20 +109,22 @@ class SparkMetadataBackend(MetadataBackend):
         """The requested trigger buckets as one Spark DataFrame.
 
         Buckets are read with the schema ``persist`` writes, so planning
-        the scan runs no Spark job (no footer read to infer it).
+        the scan runs no Spark job (no footer read to infer it). The
+        frame belongs to ``interpreted`` if the buckets hold at most
+        ``_INTERPRETED_MAX_ROWS`` rows, else to ``spark``.
         """
+        small = self.count(trigger_ids) <= _INTERPRETED_MAX_ROWS
+        spark = self.interpreted if small else self.spark
         frames = []
         for t in trigger_ids:
             if int(t) in self._rows:
                 frames.append(
-                    self.spark.read.schema(_SEEN_SCHEMA)
+                    spark.read.schema(_SEEN_SCHEMA)
                     .parquet(self._bucket(t))
                     .withColumn("trigger_id", F.lit(int(t)))
                 )
         if not frames:
-            return self.spark.createDataFrame(
-                [], _SEEN_SCHEMA + ", trigger_id long"
-            )
+            return spark.createDataFrame([], _SEEN_SCHEMA + ", trigger_id long")
         out = frames[0]
         for f in frames[1:]:
             out = out.unionByName(f)

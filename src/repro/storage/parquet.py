@@ -37,9 +37,9 @@ def arrow_schema(columns: Sequence[str]) -> pa.Schema:
     return pa.schema([(c, pa.int64()) for c in columns])
 
 
-def append(directory: str, columns: Sequence[np.ndarray], schema: pa.Schema) -> None:
+def append(directory: str, columns: Sequence[np.ndarray], schema: pa.Schema) -> str:
     """Append one Parquet file holding ``columns`` (in ``schema`` order) to
-    the table at ``directory``.
+    the table at ``directory``; returns the committed file's path.
 
     The rename is the commit point: on any failure before it the table
     is unchanged, and the temporary file is removed (best effort) before
@@ -60,3 +60,4 @@ def append(directory: str, columns: Sequence[np.ndarray], schema: pa.Schema) -> 
         except OSError:
             pass
         raise
+    return final

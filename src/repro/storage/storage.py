@@ -141,23 +141,29 @@ class Storage:
         # with one is never kept.
         self._registry: DataFrame | None = None
         self._registry_gen = 0
+        # per committed ingest: its first sample key and its registry file
+        self._ingest_starts: list[int] = []
+        self._ingest_files: list[str] = []
         # In-memory metadata index for the hot path (keys are dense, so
         # position == sample_key); chunks are consolidated lazily.
         self._idx_file: list[np.ndarray] = []
         self._idx_pos: list[np.ndarray] = []
         self._idx_label: list[np.ndarray] = []
+        self._idx_ts: list[np.ndarray] = []
         os.makedirs(root, exist_ok=True)
 
-    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(file_id, idx, label, timestamp) per sample key."""
         with self._lock:
             if len(self._idx_file) > 1:
                 self._idx_file = [np.concatenate(self._idx_file)]
                 self._idx_pos = [np.concatenate(self._idx_pos)]
                 self._idx_label = [np.concatenate(self._idx_label)]
+                self._idx_ts = [np.concatenate(self._idx_ts)]
             if not self._idx_file:
                 empty = np.empty(0, np.int64)
-                return empty, empty, empty
-            return self._idx_file[0], self._idx_pos[0], self._idx_label[0]
+                return empty, empty, empty, empty
+            return self._idx_file[0], self._idx_pos[0], self._idx_label[0], self._idx_ts[0]
 
     # ----------------------------------------------------------- ingestion
     def ingest_files(
@@ -209,14 +215,17 @@ class Storage:
             # The registry append is the commit point: the hot-path index
             # learns the new keys only once the registry holds them, so a
             # failed write leaves both exactly as they were.
-            parquet.append(
+            registry_file = parquet.append(
                 self.registry_path, (keys, file_ids, positions, labels, ts), _REGISTRY_ARROW
             )
             with self._lock:
+                self._ingest_starts.append(next_key)
+                self._ingest_files.append(registry_file)
                 self._files.update(zip(range(next_file_id, next_file_id + len(paths)), paths))
                 self._idx_file.append(file_ids)
                 self._idx_pos.append(positions)
                 self._idx_label.append(labels)
+                self._idx_ts.append(ts)
                 self._next_key = next_key + n
                 self._next_file_id = next_file_id + len(paths)
                 self._registry = None
@@ -228,7 +237,7 @@ class Storage:
         return self.ingest_files([path], timestamps=[timestamp])
 
     # ----------------------------------------------------------- metadata
-    def registry_df(self) -> DataFrame:
+    def registry_df(self, keys: np.ndarray | None = None) -> DataFrame:
         """The growing registry as a Spark DataFrame (Parquet scan).
 
         The scan is planned with the declared schema, so planning runs
@@ -237,7 +246,23 @@ class Storage:
         kept and reused until the next ingest commits (this ``Storage``
         is the registry's only writer). Planning runs outside ``_lock``
         so it never stalls concurrent hot-path ``lookup`` calls.
+
+        With ``keys``, the scan reads only the registry files of the
+        ingests holding them (their other rows included), picked on the
+        driver: no key filter enters the plan. Spark compiles a filter's
+        bounds into the stage's generated code, so a filter on each new
+        key range compiles new classes (tens of ms); this plan's code is
+        the same for every key set. Raises ``KeyError`` for unknown keys.
         """
+        if keys is not None:
+            keys = _known(keys, self._next_key)
+            with self._lock:
+                starts = np.asarray(self._ingest_starts, np.int64)
+                ingests = np.unique(np.searchsorted(starts, keys, side="right") - 1)
+                files = [self._ingest_files[i] for i in ingests.tolist()]
+            if not files:
+                return self.spark.createDataFrame([], _REGISTRY_SCHEMA)
+            return self.spark.read.schema(_REGISTRY_SCHEMA).parquet(*files)
         with self._lock:
             plan, gen = self._registry, self._registry_gen
         if plan is not None:
@@ -290,20 +315,15 @@ class Storage:
         This is the paper's *experiment mode*: the storage announces
         existing data points as "new" to the supervisor, ordered by time.
         Yields ``(keys, timestamps, labels)`` arrays of ``batch_size``.
+        The order comes from the in-memory index, not a Spark sort of
+        the registry: keys are dense, so a stable sort by timestamp
+        keeps keys ascending within a timestamp.
         """
-        pdf = (
-            self.registry_df()
-            .select("sample_key", "timestamp", "label")
-            .orderBy("timestamp", "sample_key")
-            .toPandas()
-        )
-        for start in range(0, len(pdf), batch_size):
-            chunk = pdf.iloc[start : start + batch_size]
-            yield (
-                chunk["sample_key"].to_numpy(np.int64),
-                chunk["timestamp"].to_numpy(np.int64),
-                chunk["label"].to_numpy(np.int64),
-            )
+        _, _, label_by_key, ts_by_key = self._index()
+        order = np.argsort(ts_by_key, kind="stable")
+        for start in range(0, len(order), batch_size):
+            keys = order[start : start + batch_size].astype(np.int64)
+            yield keys, ts_by_key[keys], label_by_key[keys]
 
     # ----------------------------------------------------------- retrieval
     def lookup(
@@ -315,7 +335,7 @@ class Storage:
         simulated DB round-trip latency scaling with the request size
         (see module doc). Raises ``KeyError`` for unknown keys.
         """
-        file_by_key, pos_by_key, label_by_key = self._index()
+        file_by_key, pos_by_key, label_by_key, _ = self._index()
         keys = _known(keys, len(file_by_key))
         time.sleep(_DB_BASE_S + _DB_PER_KEY_S * len(keys))
         return file_by_key[keys], pos_by_key[keys], label_by_key[keys]

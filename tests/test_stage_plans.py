@@ -4,7 +4,8 @@
 commits; these tests check that every stage reading the registry sees
 each committed ingest and nothing of a failed one. The job-count guards
 pin how many Spark jobs each trigger-time stage launches, so a driver
-round trip added to a stage fails here instead of only slowing it.
+round trip added to a stage fails here instead of only slowing it, and
+the generated-code guards pin that a later trigger compiles no new code.
 """
 import sys
 import threading
@@ -17,8 +18,13 @@ from pyspark.sql.readwriter import DataFrameReader
 
 from repro.models import SoftmaxRegression
 from repro.selector.downsampling import GradNormDownsampler, score_keys_spark
+from repro.selector import metadata_backend as mb
 from repro.selector.metadata_backend import SparkMetadataBackend
-from repro.selector.presampling import UniformRandomStrategy
+from repro.selector.presampling import (
+    LabelBalancedStrategy,
+    NewDataStrategy,
+    UniformRandomStrategy,
+)
 from repro.storage import SingleSampleFileWrapper, Storage
 from repro.synth_data import cloc_batch_parser, generate_cloc_files
 
@@ -60,6 +66,26 @@ class TestRegistryPlan:
     def test_plan_is_reused_between_ingests(self, storage, years):
         _ingest(storage, years[0])
         assert storage.registry_df() is storage.registry_df()
+
+    def test_key_scan_reads_the_ingests_holding_the_keys(self, spark, storage, years):
+        for year in years:
+            _ingest(storage, year)
+
+        def scanned(keys):
+            df = storage.registry_df(np.asarray(keys))
+            return sorted(df.toPandas()["sample_key"])
+
+        second = list(range(PER_YEAR, 2 * PER_YEAR))
+        assert scanned([PER_YEAR + 3]) == second
+        assert scanned([2 * PER_YEAR - 1, PER_YEAR]) == second
+        assert scanned([0, 2 * PER_YEAR]) == list(range(PER_YEAR)) + list(
+            range(2 * PER_YEAR, 3 * PER_YEAR)
+        )
+        assert scanned([]) == []
+        assert _spark_jobs(spark, lambda: storage.registry_df(np.arange(PER_YEAR))) == 0
+        for bad in ([3 * PER_YEAR], [-1]):
+            with pytest.raises(KeyError, match="unknown sample keys"):
+                storage.registry_df(np.array(bad))
 
     def test_second_ingest_is_visible_to_every_stage(self, storage, years):
         _ingest(storage, years[0])
@@ -230,6 +256,65 @@ class TestJobBudget:
             persist = lambda: backend.persist(t, np.arange(n), np.zeros(n), np.zeros(n))  # noqa: E731
             assert _spark_jobs(spark, persist) == 0
         assert backend.count([0, 1]) == 3 * n
+
+
+def _compilations(spark) -> int:
+    """Classes Spark's code generator has compiled in this JVM so far."""
+    metrics = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics
+    return metrics.METRIC_COMPILATION_TIME().getCount()
+
+
+def _seed_buckets(backend, n_triggers, per_trigger=40):
+    for t in range(n_triggers):
+        keys = np.arange(per_trigger) + 1000 * t
+        backend.persist(t, keys, keys % 3, np.zeros(per_trigger))
+
+
+class TestGeneratedCode:
+    """A trigger-time stage compiles its generated code once: the next
+    trigger's plan carries no constant of its own (Spark compiles a
+    plan's constants into its code), or runs interpreted."""
+
+    def test_scoring_a_new_key_set_compiles_no_code(self, spark, storage, years):
+        for year in years:
+            _ingest(storage, year)
+        _score(storage, np.arange(PER_YEAR))
+        before = _compilations(spark)
+        _score(storage, np.arange(PER_YEAR, 2 * PER_YEAR))
+        _score(storage, np.arange(2 * PER_YEAR + 5, 3 * PER_YEAR - 5))
+        assert _compilations(spark) == before
+
+    @pytest.mark.parametrize("strategy", ["uniform", "label", "new"])
+    def test_backend_selection_compiles_no_code_per_trigger(self, spark, tmp_path, strategy):
+        backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
+        _seed_buckets(backend, 4)
+        s = _strategy(strategy, backend, seed=11)
+        list(s.select(0))
+        before = _compilations(spark)
+        for t in (1, 2, 3):
+            list(s.select(t))
+        assert _compilations(spark) == before
+
+    @pytest.mark.parametrize("strategy", ["uniform", "label", "new"])
+    def test_interpreted_selection_equals_compiled(self, spark, tmp_path, monkeypatch, strategy):
+        backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
+        _seed_buckets(backend, 3, per_trigger=300)
+        selected = []
+        for limit in (mb._INTERPRETED_MAX_ROWS, -1):  # -1: every query compiles
+            monkeypatch.setattr(mb, "_INTERPRETED_MAX_ROWS", limit)
+            s = _strategy(strategy, backend, seed=5, reset_after_trigger=False)
+            parts = list(s.select(2))
+            selected.append(np.concatenate([k for k, _ in parts]))
+        assert len(selected[0]) > 0
+        assert selected[0].tolist() == selected[1].tolist()
+
+
+def _strategy(name, backend, **kw):
+    if name == "uniform":
+        return UniformRandomStrategy(backend, fraction=0.5, **kw)
+    if name == "label":
+        return LabelBalancedStrategy(backend, **kw)
+    return NewDataStrategy(backend, **kw)
 
 
 class TestDeclaredSchemas:

@@ -220,6 +220,27 @@ class TestReplayStream:
             kt = keys[ts == t]
             assert (np.diff(kt) > 0).all()
 
+    def test_matches_registry_sort(self, spark, tmp_path):
+        """Ingests out of time order, and files of one ingest with
+        different timestamps, replay as a sort of the registry by
+        (timestamp, key) orders them."""
+        st = Storage(spark, str(tmp_path / "s"), SingleSampleFileWrapper())
+        for year, stamps in ((2006, [2006, 2004] * 4), (2004, [2005] * 8), (2005, [2004] * 8)):
+            paths, _ = generate_cloc_files(
+                str(tmp_path / f"d{year}"), per_year=8, years=(year,), n_classes=3, dim=4
+            )
+            st.ingest_files(paths, timestamps=stamps)
+        want = (
+            st.registry_df()
+            .orderBy("timestamp", "sample_key")
+            .select("sample_key", "timestamp", "label")
+            .toPandas()
+        )
+        batches = list(st.new_data_batches(batch_size=5))
+        assert [len(b[0]) for b in batches] == [5] * 4 + [4]
+        for got, column in zip(map(np.concatenate, zip(*batches)), want.columns):
+            assert got.tolist() == want[column].tolist()
+
     def test_batch_size_respected(self, criteo_storage):
         batches = list(criteo_storage.new_data_batches(batch_size=700))
         assert [len(b[0]) for b in batches[:-1]] == [700] * (len(batches) - 1)
