@@ -5,7 +5,8 @@ appended to a Parquet table partitioned by trigger (mirroring the paper's
 per-pipeline/per-trigger Postgres table partitioning, which keeps insert
 performance flat as triggers accumulate), and selection policies are
 expressed as Spark SQL / DataFrame queries over it. Appends are written
-from the driver (``repro.storage.parquet``); Spark only reads.
+from the driver (``repro.storage.parquet``); Spark only reads, one scan
+over the requested ``trigger_id=<t>`` directories.
 
 ``LocalMetadataBackend`` is the C++-extension analog: seen samples are
 written as fixed-record binary files by a thread pool and read back as
@@ -22,7 +23,6 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.storage import parquet
 
@@ -30,17 +30,10 @@ from repro.storage import parquet
 # and the local backend's binary record are derived from this one tuple.
 _SEEN_COLUMNS = ("sample_key", "label", "timestamp")
 SEEN_DTYPE = np.dtype([(c, "<i8") for c in _SEEN_COLUMNS])
-_SEEN_SCHEMA = parquet.spark_ddl(_SEEN_COLUMNS)
 _SEEN_ARROW = parquet.arrow_schema(_SEEN_COLUMNS)
-
-# Spark compiles a plan's constants into its generated code, and every
-# query on the Spark backend carries per-trigger ones (the trigger id
-# column, a strategy's random seed): each trigger would compile new
-# classes, about 20-60 ms per query. Up to this many rows evaluating the
-# plan interpreted costs no more than that (measured on 4 cores: level
-# at 1e5 rows, codegen ahead from about 3e5), so smaller queries run in
-# an interpreted session.
-_INTERPRETED_MAX_ROWS = 100_000
+# What the Spark backend reads: the files' columns, then ``trigger_id``
+# as a partition value from the bucket directory's name.
+_BUCKET_COLUMNS = (*_SEEN_COLUMNS, "trigger_id")
 
 
 class MetadataBackend(ABC):
@@ -72,17 +65,19 @@ class MetadataBackend(ABC):
 class SparkMetadataBackend(MetadataBackend):
     """Parquet-per-trigger metadata store queried through Spark SQL.
 
-    Queries over at most ``_INTERPRETED_MAX_ROWS`` rows are planned in
-    ``interpreted``: a session sharing ``spark``'s context whose plans
-    run without generated code. It answers with the same rows, in the
-    same order, as ``spark`` would.
+    Every query is planned in ``spark``: a session of its own, sharing
+    the given session's context, whose plans run without generated
+    code. Spark compiles a plan's constants into its generated code, and
+    every query here carries per-trigger ones (a strategy's random
+    seed), so with code generation each trigger would compile new
+    classes (about 20-60 ms per query on 4 cores); interpreted, the
+    queries return the same rows in the same order and compile nothing.
     """
 
     def __init__(self, spark: SparkSession, root: str, *, pipeline_id: str = "p0"):
-        self.spark = spark
-        self.interpreted = spark.newSession()
-        self.interpreted.conf.set("spark.sql.codegen.wholeStage", "false")
-        self.interpreted.conf.set("spark.sql.codegen.factoryMode", "NO_CODEGEN")
+        self.spark = spark.newSession()
+        self.spark.conf.set("spark.sql.codegen.wholeStage", "false")
+        self.spark.conf.set("spark.sql.codegen.factoryMode", "NO_CODEGEN")
         # Partition by pipeline first, then trigger — the paper's layout.
         self.root = os.path.join(root, f"pipeline={pipeline_id}")
         # rows persisted per trigger bucket: which buckets exist, and
@@ -106,29 +101,16 @@ class SparkMetadataBackend(MetadataBackend):
             self._rows[t] = self._rows.get(t, 0) + len(keys)
 
     def df(self, trigger_ids: Sequence[int]) -> DataFrame:
-        """The requested trigger buckets as one Spark DataFrame.
+        """The requested trigger buckets as one Spark DataFrame: one scan
+        over their directories (``parquet.scan``), ``trigger_id`` a
+        ``long`` partition value read from each directory's name.
 
         Buckets are read with the schema ``persist`` writes, so planning
-        the scan runs no Spark job (no footer read to infer it). The
-        frame belongs to ``interpreted`` if the buckets hold at most
-        ``_INTERPRETED_MAX_ROWS`` rows, else to ``spark``.
+        the scan runs no Spark job (no footer read to infer it).
         """
-        small = self.count(trigger_ids) <= _INTERPRETED_MAX_ROWS
-        spark = self.interpreted if small else self.spark
-        frames = []
-        for t in trigger_ids:
-            if int(t) in self._rows:
-                frames.append(
-                    spark.read.schema(_SEEN_SCHEMA)
-                    .parquet(self._bucket(t))
-                    .withColumn("trigger_id", F.lit(int(t)))
-                )
-        if not frames:
-            return spark.createDataFrame([], _SEEN_SCHEMA + ", trigger_id long")
-        out = frames[0]
-        for f in frames[1:]:
-            out = out.unionByName(f)
-        return out
+        with self._lock:
+            buckets = [self._bucket(t) for t in trigger_ids if int(t) in self._rows]
+        return parquet.scan(self.spark, buckets, _BUCKET_COLUMNS, base=self.root)
 
     def get(self, trigger_ids: Sequence[int]) -> pd.DataFrame:
         return self.df(trigger_ids).toPandas()

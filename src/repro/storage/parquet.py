@@ -1,10 +1,11 @@
-"""Parquet appends written from the driver (the COPY-ingest analog).
+"""Parquet tables written from the driver (the COPY-ingest analog) and
+scanned by Spark.
 
 The paper bulk-loads new rows into Postgres with ``COPY``. Here every
 append to a Parquet table (the storage registry, a selector trigger
 bucket) is one file built from numpy columns with Arrow and written by
 the calling process: the driver already holds the rows, so no Spark job
-runs. Spark stays the only reader.
+runs. Spark stays the only reader, through ``scan``.
 
 Each table is declared once as a tuple of column names, all ``int64``;
 ``spark_ddl`` and ``arrow_schema`` derive the read schema and the write
@@ -25,6 +26,7 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+from pyspark.sql import DataFrame, SparkSession
 
 
 def spark_ddl(columns: Sequence[str]) -> str:
@@ -61,3 +63,24 @@ def append(directory: str, columns: Sequence[np.ndarray], schema: pa.Schema) -> 
             pass
         raise
     return final
+
+
+def scan(
+    spark: SparkSession, paths: Sequence[str], columns: Sequence[str], base: str | None = None
+) -> DataFrame:
+    """The table files or directories ``paths`` as one frame of ``columns``.
+
+    Planned with the declared schema, so planning launches no Spark job
+    while Spark lists ``paths`` on the driver (up to 32 of them; from 33
+    on, its parallel partition discovery lists them in one job). With
+    ``base``, columns the path names below it carry (``<column>=<value>``
+    directories) are read as partition values typed as declared. No
+    paths give an empty frame of the same schema.
+    """
+    ddl = spark_ddl(columns)
+    if not paths:
+        return spark.createDataFrame([], ddl)
+    reader = spark.read.schema(ddl)
+    if base is not None:
+        reader = reader.option("basePath", base)
+    return reader.parquet(*paths)

@@ -23,10 +23,9 @@ Two metadata paths, by design (see DESIGN.md):
   rename), so an ingest launches no Spark job. The registry has a
   declared schema, written by every ingest and read back as is, so
   planning a scan launches no Spark job either and each stage is the
-  one job that does its work. Each ``Storage`` holds one planned
-  registry scan and reuses it; it is the registry's only writer, and
-  the plan is reset at the ingest commit point, so the plan is never
-  stale.
+  one job that does its work. A scan reads exactly the files this
+  ``Storage``'s ingests committed, never a listing of the registry
+  directory, so the rows it sees always match the hot-path index.
 - ``lookup``: the *hot* per-request path. The paper's Postgres point
   lookups cost milliseconds; a Spark job costs hundreds of milliseconds
   of driver-serialized overhead, which would invert every scaling trend
@@ -73,7 +72,6 @@ _DB_PER_KEY_S = float(os.environ.get("REPRO_DB_PER_KEY_US", "20.0")) / 1e6
 # Declared registry schema: ingest writes it and ``registry_df`` reads
 # with it, so planning a scan never runs a Spark schema-inference job.
 _REGISTRY_COLUMNS = ("sample_key", "file_id", "idx", "label", "timestamp")
-_REGISTRY_SCHEMA = parquet.spark_ddl(_REGISTRY_COLUMNS)
 _REGISTRY_ARROW = parquet.arrow_schema(_REGISTRY_COLUMNS)
 
 
@@ -134,13 +132,8 @@ class Storage:
         self._files: dict[int, str] = {}  # file_id -> path (one entry per ingested file)
         self._next_key = 0
         self._next_file_id = 0
-        self._lock = threading.Lock()  # guards the hot-path index and registry plan
+        self._lock = threading.Lock()  # guards the hot-path index and the ingest lists
         self._ingest_lock = threading.Lock()  # serializes ingests
-        # Planned registry scan, rebuilt lazily after each ingest commit;
-        # ``_registry_gen`` counts commits so a plan built concurrently
-        # with one is never kept.
-        self._registry: DataFrame | None = None
-        self._registry_gen = 0
         # per committed ingest: its first sample key and its registry file
         self._ingest_starts: list[int] = []
         self._ingest_files: list[str] = []
@@ -228,8 +221,6 @@ class Storage:
                 self._idx_ts.append(ts)
                 self._next_key = next_key + n
                 self._next_file_id = next_file_id + len(paths)
-                self._registry = None
-                self._registry_gen += 1
         return keys
 
     def ingest_file(self, path: str, *, timestamp: int = 0) -> np.ndarray:
@@ -238,40 +229,28 @@ class Storage:
 
     # ----------------------------------------------------------- metadata
     def registry_df(self, keys: np.ndarray | None = None) -> DataFrame:
-        """The growing registry as a Spark DataFrame (Parquet scan).
+        """The registry files this ``Storage`` committed, as one Parquet
+        scan (``parquet.scan``: planning launches no Spark job up to 32
+        files).
 
-        The scan is planned with the declared schema, so planning runs
-        no Spark job; it still lists the registry files (about 15 ms for
-        11 files on a 4-core machine), so one plan per ``Storage`` is
-        kept and reused until the next ingest commits (this ``Storage``
-        is the registry's only writer). Planning runs outside ``_lock``
-        so it never stalls concurrent hot-path ``lookup`` calls.
-
-        With ``keys``, the scan reads only the registry files of the
-        ingests holding them (their other rows included), picked on the
-        driver: no key filter enters the plan. Spark compiles a filter's
-        bounds into the stage's generated code, so a filter on each new
-        key range compiles new classes (tens of ms); this plan's code is
-        the same for every key set. Raises ``KeyError`` for unknown keys.
+        The scan reads the files committed before the call, so it sees
+        every committed ingest and nothing of a failed one, and on a
+        root an earlier ``Storage`` ingested into, none of that one's
+        rows. With ``keys``, it reads only the files of the ingests
+        holding them (their other rows included), picked on the driver:
+        no key filter enters the plan. Spark compiles a filter's bounds
+        into the stage's generated code, so a filter on each new key
+        range compiles new classes (tens of ms); this plan's code is the
+        same for every key set. Raises ``KeyError`` for unknown keys.
         """
+        with self._lock:
+            files, n = list(self._ingest_files), self._next_key
+            starts = np.asarray(self._ingest_starts, np.int64)
         if keys is not None:
-            keys = _known(keys, self._next_key)
-            with self._lock:
-                starts = np.asarray(self._ingest_starts, np.int64)
-                ingests = np.unique(np.searchsorted(starts, keys, side="right") - 1)
-                files = [self._ingest_files[i] for i in ingests.tolist()]
-            if not files:
-                return self.spark.createDataFrame([], _REGISTRY_SCHEMA)
-            return self.spark.read.schema(_REGISTRY_SCHEMA).parquet(*files)
-        with self._lock:
-            plan, gen = self._registry, self._registry_gen
-        if plan is not None:
-            return plan
-        plan = self.spark.read.schema(_REGISTRY_SCHEMA).parquet(self.registry_path)
-        with self._lock:
-            if self._registry_gen == gen:
-                self._registry = plan
-        return plan
+            keys = _known(keys, n)
+            ingests = np.unique(np.searchsorted(starts, keys, side="right") - 1)
+            files = [files[i] for i in ingests.tolist()]
+        return parquet.scan(self.spark, files, _REGISTRY_COLUMNS)
 
     def file_paths(self, keys: np.ndarray) -> dict[int, str]:
         """``file_id -> path`` for the files holding ``keys``.

@@ -79,10 +79,10 @@ def criteo(spark, tmp_path):
     return st, paths, days
 
 
-def test_failed_commit_rename_leaves_registry_and_plan(criteo, monkeypatch):
+def test_failed_commit_rename_leaves_registry(criteo, monkeypatch):
     """A failure between the data write and the rename commits nothing."""
     st, paths, days = criteo
-    plan = st.registry_df()
+    scanned = st.registry_df().inputFiles()
     files = _visible(st.registry_path)
 
     with monkeypatch.context() as m:
@@ -92,8 +92,8 @@ def test_failed_commit_rename_leaves_registry_and_plan(criteo, monkeypatch):
 
     assert _visible(st.registry_path) == files
     assert _hidden(st.registry_path) == []  # the temporary file was removed
-    assert st.registry_df() is plan
-    assert plan.count() == st.num_samples == PER_FILE
+    assert st.registry_df().inputFiles() == scanned
+    assert st.registry_df().count() == st.num_samples == PER_FILE
     with pytest.raises(KeyError, match="unknown sample keys"):
         st.lookup(np.arange(PER_FILE, 2 * PER_FILE))
 

@@ -1,11 +1,12 @@
-"""Trigger-time Spark stages: the reused registry plan and job budgets.
+"""Trigger-time Spark stages: registry scans and job budgets.
 
-``Storage`` keeps one planned registry scan and resets it when an ingest
-commits; these tests check that every stage reading the registry sees
-each committed ingest and nothing of a failed one. The job-count guards
-pin how many Spark jobs each trigger-time stage launches, so a driver
-round trip added to a stage fails here instead of only slowing it, and
-the generated-code guards pin that a later trigger compiles no new code.
+A registry scan reads exactly the files its ``Storage`` committed
+before the call; these tests check that every stage reading the
+registry sees each committed ingest and nothing of a failed one or of
+an earlier ``Storage`` on the same root. The job-count guards pin how
+many Spark jobs each trigger-time stage launches, so a driver round trip
+added to a stage fails here instead of only slowing it, and the
+generated-code guards pin that a later trigger compiles no new code.
 """
 import sys
 import threading
@@ -18,8 +19,7 @@ from pyspark.sql.readwriter import DataFrameReader
 
 from repro.models import SoftmaxRegression
 from repro.selector.downsampling import GradNormDownsampler, score_keys_spark
-from repro.selector import metadata_backend as mb
-from repro.selector.metadata_backend import SparkMetadataBackend
+from repro.selector.metadata_backend import LocalMetadataBackend, SparkMetadataBackend
 from repro.selector.presampling import (
     LabelBalancedStrategy,
     NewDataStrategy,
@@ -63,9 +63,20 @@ def _score(storage, keys):
 
 
 class TestRegistryPlan:
-    def test_plan_is_reused_between_ingests(self, storage, years):
+    def test_reopened_root_scans_only_its_own_ingests(self, spark, storage, years):
+        """A second ``Storage`` on a root that already holds a registry
+        numbers its keys from 0 again, so it must not read the earlier
+        one's files: each key appears once, as the index has it."""
         _ingest(storage, years[0])
-        assert storage.registry_df() is storage.registry_df()
+        again = Storage(spark, storage.root, SingleSampleFileWrapper())
+        keys = _ingest(again, years[1])
+        assert keys.tolist() == list(range(PER_YEAR))
+        assert again.registry_df().count() == again.num_samples == PER_YEAR
+        meta = again.get_metadata(keys)
+        assert sorted(meta["sample_key"]) == keys.tolist()
+        _, _, labels = again.lookup(meta["sample_key"].to_numpy())
+        assert meta["label"].tolist() == labels.tolist()
+        assert sorted(_score(again, keys)["sample_key"]) == keys.tolist()
 
     def test_key_scan_reads_the_ingests_holding_the_keys(self, spark, storage, years):
         for year in years:
@@ -121,7 +132,9 @@ class TestRegistryPlan:
         assert sorted(scored["sample_key"]) == retry.tolist()
         assert np.isfinite(scored["score"]).all()
 
-    def test_plan_built_across_a_commit_is_not_kept(self, storage, years, monkeypatch):
+    def test_scan_planned_across_a_commit_reads_the_earlier_files(
+        self, storage, years, monkeypatch
+    ):
         _ingest(storage, years[0])
         plan = DataFrameReader.parquet
 
@@ -227,6 +240,16 @@ class TestJobBudget:
         assert _spark_jobs(spark, lambda: _score(storage, keys)) == 1
         assert 1 <= _spark_jobs(spark, lambda: storage.get_metadata(keys)) <= 2
 
+    def test_registry_scan_of_32_ingests(self, spark, storage, years):
+        """Spark lists up to 32 scan paths on the driver. From 33 on, its
+        parallel partition discovery lists them in a Spark job of its
+        own, so planning a scan of 33 or more ingests costs one job."""
+        paths, _ = years[0]
+        for i in range(32):
+            storage.ingest_file(paths[i % PER_YEAR])
+        assert _spark_jobs(spark, storage.registry_df) == 0
+        assert storage.registry_df().count() == storage.num_samples == 32
+
     def test_unknown_key_fails_before_any_job(self, spark, storage, years):
         _ingest(storage, years[0])
 
@@ -300,8 +323,8 @@ class TestGeneratedCode:
         backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
         _seed_buckets(backend, 3, per_trigger=300)
         selected = []
-        for limit in (mb._INTERPRETED_MAX_ROWS, -1):  # -1: every query compiles
-            monkeypatch.setattr(mb, "_INTERPRETED_MAX_ROWS", limit)
+        for session in (backend.spark, spark):  # the given session compiles
+            monkeypatch.setattr(backend, "spark", session)
             s = _strategy(strategy, backend, seed=5, reset_after_trigger=False)
             parts = list(s.select(2))
             selected.append(np.concatenate([k for k, _ in parts]))
@@ -333,11 +356,19 @@ class TestDeclaredSchemas:
     @pytest.mark.parametrize("sizes", [[5], [0], [4, 0, 3]])
     def test_bucket_schema_matches_persisted_files(self, spark, tmp_path, sizes):
         backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
-        for n in sizes:
-            backend.persist(7, np.arange(n), np.ones(n), np.full(n, 9))
+        local = LocalMetadataBackend(str(tmp_path / "local"))
+        for b in (backend, local):
+            for n in sizes:
+                b.persist(7, np.arange(n), np.ones(n), np.full(n, 9))
         inferred = spark.read.parquet(backend._bucket(7)).schema
         declared = backend.df([7])
         assert declared.drop("trigger_id").schema == inferred
+        # an empty scope (no bucket persisted) reads as the same frame
+        assert declared.schema == backend.df([8]).schema == backend.df([]).schema
+        assert declared.schema["trigger_id"].dataType.simpleString() == "bigint"
         pdf = declared.toPandas()
         assert len(pdf) == sum(sizes)
         assert not pdf.isna().any().any()
+        assert (pdf["trigger_id"] == 7).all()
+        for b in (backend, local):
+            assert b.get([7])["trigger_id"].dtype == np.int64

@@ -87,10 +87,11 @@ class TestIngest:
 
         st.ingest_files(paths[:1], timestamps=days[:1])
         files = sorted(os.listdir(st.registry_path))
-        plan, gen = st.registry_df(), st._registry_gen
+        scanned = st.registry_df().inputFiles()
         assert len(st.ingest_files([], timestamps=[])) == 0
         assert sorted(os.listdir(st.registry_path)) == files
-        assert st._registry_gen == gen and st.registry_df() is plan
+        assert st.registry_df().inputFiles() == scanned
+        assert st.registry_df().count() == 10
         assert st.num_samples == 10
         assert st.ingest_files(paths[1:], timestamps=days[1:]).tolist() == list(range(10, 20))
 
