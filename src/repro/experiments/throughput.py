@@ -15,9 +15,9 @@ with ≥4 workers as in Figure 8b.
 """
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -84,7 +84,7 @@ def make_decode_transform(bytes_per_sample: int):
     return transform
 
 
-@dataclass
+@dataclasses.dataclass
 class WorkloadSetup:
     """One ingested workload with a single materialized trigger set."""
 
@@ -106,13 +106,7 @@ class WorkloadSetup:
 
 
 def _materialize_trigger(
-    spark: SparkSession,
-    root: str,
-    storage: Storage,
-    keys: np.ndarray,
-    *,
-    partition_size: int,
-    tag: str,
+    root: str, keys: np.ndarray, *, partition_size: int, tag: str
 ) -> Selector:
     backend = LocalMetadataBackend(os.path.join(root, f"meta_{tag}"))
     strategy = NewDataStrategy(
@@ -151,8 +145,7 @@ def build_criteo_setup(
     storage.ingest_files(paths, timestamps=days)
     keys = np.arange(n_samples)
     selector = _materialize_trigger(
-        spark, root, storage, keys, partition_size=partition_size,
-        tag=f"p{partition_size}",
+        root, keys, partition_size=partition_size, tag=f"p{partition_size}"
     )
     return WorkloadSetup(
         "criteo_lite",
@@ -171,23 +164,11 @@ def add_trigger_set(
     spark: SparkSession, root: str, setup: WorkloadSetup, *, partition_size: int
 ) -> WorkloadSetup:
     """A second trigger set over the same storage at another partition size."""
-    keys = np.arange(setup.n_samples)
     selector = _materialize_trigger(
-        spark, root, setup.storage, keys, partition_size=partition_size,
+        root, np.arange(setup.n_samples), partition_size=partition_size,
         tag=f"p{partition_size}",
     )
-    return WorkloadSetup(
-        setup.name,
-        setup.storage,
-        selector,
-        0,
-        setup.files,
-        setup.n_samples,
-        setup.batch_parser,
-        setup.batch_size,
-        setup.gpu_step_seconds,
-        setup.transform,
-    )
+    return dataclasses.replace(setup, selector=selector)
 
 
 def build_cloc_setup(
@@ -212,8 +193,7 @@ def build_cloc_setup(
     )
     storage.ingest_files(paths, timestamps=years)
     selector = _materialize_trigger(
-        spark, root, storage, np.arange(n_samples),
-        partition_size=partition_size, tag="cloc",
+        root, np.arange(n_samples), partition_size=partition_size, tag="cloc"
     )
     return WorkloadSetup(
         "cloc_lite",

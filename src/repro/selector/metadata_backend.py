@@ -9,21 +9,23 @@ from the driver (``repro.storage.parquet``); Spark only reads, one scan
 over the requested ``trigger_id=<t>`` directories.
 
 ``LocalMetadataBackend`` is the C++-extension analog: seen samples are
-written as fixed-record binary files by a thread pool and read back as
-numpy arrays — fast, but only simple strategies can run on it.
+written as fixed-record binary files by a thread pool
+(``repro.selector.records``) and read back as numpy arrays — fast, but
+only simple strategies can run on it.
 """
 from __future__ import annotations
 
 import os
+import shutil
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.selector import records
 from repro.storage import parquet
 
 # The seen-sample columns, all int64: the Spark backend's Parquet schemas
@@ -120,8 +122,6 @@ class SparkMetadataBackend(MetadataBackend):
             return sum(self._rows.get(int(t), 0) for t in trigger_ids)
 
     def reset(self, trigger_id: int) -> None:
-        import shutil
-
         with self._lock:
             self._rows.pop(int(trigger_id), None)
         shutil.rmtree(self._bucket(trigger_id), ignore_errors=True)
@@ -130,58 +130,46 @@ class SparkMetadataBackend(MetadataBackend):
 class LocalMetadataBackend(MetadataBackend):
     """Binary-file metadata store written by a thread pool.
 
-    Each ``persist`` call splits the batch across ``n_threads`` fixed-
-    record binary files inside the trigger's directory (the paper's
-    multithreaded NVMe writes); reads memory-map and concatenate.
+    Each ``persist`` call writes the batch as at most ``n_threads``
+    fixed-record chunk files inside the trigger's directory (the paper's
+    multithreaded NVMe writes). The backend records every chunk it
+    wrote, so ``get`` reads the chunks in persist order and ``count``
+    sums their sizes, neither listing nor reading the directory.
     """
 
     def __init__(self, root: str, *, pipeline_id: str = "p0", n_threads: int = 4):
         self.root = os.path.join(root, f"pipeline={pipeline_id}")
         self.n_threads = max(1, int(n_threads))
-        self._chunk_counters: dict[int, int] = {}
+        # trigger id -> the bucket's chunks, in persist order
+        self._chunks: dict[int, list[records.Chunk]] = {}
         self._lock = threading.Lock()
         os.makedirs(self.root, exist_ok=True)
 
     def _bucket(self, trigger_id: int) -> str:
-        d = os.path.join(self.root, f"trigger_id={int(trigger_id)}")
-        os.makedirs(d, exist_ok=True)
-        return d
+        return os.path.join(self.root, f"trigger_id={int(trigger_id)}")
 
     def persist(self, trigger_id, keys, labels, timestamps) -> None:
+        if len(keys) == 0:
+            return
         arr = np.empty(len(keys), dtype=SEEN_DTYPE)
         arr["sample_key"] = np.asarray(keys, np.int64)
         arr["label"] = np.asarray(labels, np.int64)
         arr["timestamp"] = np.asarray(timestamps, np.int64)
-        bucket = self._bucket(trigger_id)
+        # held over the write: a batch is recorded, and so read, only
+        # once all of its chunks are on disk
         with self._lock:
-            start = self._chunk_counters.get(int(trigger_id), 0)
-            parts = [p for p in np.array_split(arr, self.n_threads) if len(p)]
-            self._chunk_counters[int(trigger_id)] = start + len(parts)
-
-        def _write(i_part: tuple[int, np.ndarray]) -> None:
-            i, part = i_part
-            path = os.path.join(bucket, f"seen_{start + i:06d}.bin")
-            with open(path, "wb") as f:
-                f.write(part.tobytes())
-
-        with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
-            list(pool.map(_write, enumerate(parts)))
-
-    def _read_bucket(self, trigger_id: int) -> np.ndarray:
-        bucket = os.path.join(self.root, f"trigger_id={int(trigger_id)}")
-        if not os.path.isdir(bucket):
-            return np.empty(0, dtype=SEEN_DTYPE)
-        chunks = [
-            np.fromfile(os.path.join(bucket, f), dtype=SEEN_DTYPE)
-            for f in sorted(os.listdir(bucket))
-            if f.endswith(".bin")
-        ]
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=SEEN_DTYPE)
+            chunks = self._chunks.setdefault(int(trigger_id), [])
+            chunks += records.write(
+                self._bucket(trigger_id), f"seen_{len(chunks):06d}", arr,
+                min(self.n_threads, len(arr)),
+            )
 
     def get(self, trigger_ids: Sequence[int]) -> pd.DataFrame:
         frames = []
         for t in trigger_ids:
-            arr = self._read_bucket(t)
+            with self._lock:
+                chunks = list(self._chunks.get(int(t), ()))
+            arr = records.read(self._bucket(t), chunks, SEEN_DTYPE)
             frames.append(
                 pd.DataFrame(
                     {
@@ -201,14 +189,10 @@ class LocalMetadataBackend(MetadataBackend):
         )
 
     def count(self, trigger_ids: Sequence[int]) -> int:
-        return sum(len(self._read_bucket(t)) for t in trigger_ids)
+        with self._lock:
+            return sum(n for t in trigger_ids for _, n in self._chunks.get(int(t), ()))
 
     def reset(self, trigger_id: int) -> None:
-        import shutil
-
         with self._lock:
-            self._chunk_counters.pop(int(trigger_id), None)
-        shutil.rmtree(
-            os.path.join(self.root, f"trigger_id={int(trigger_id)}"),
-            ignore_errors=True,
-        )
+            self._chunks.pop(int(trigger_id), None)
+            shutil.rmtree(self._bucket(trigger_id), ignore_errors=True)

@@ -13,8 +13,11 @@ paper:
 - ``PolicySchedulerStrategy`` — switch strategies across triggers (e.g.
   "start by training on all data, sample on later triggers")
 
-``select`` yields fixed-size partitions of ``(keys, weights)`` so the
-whole trigger training set is never materialized at once (§4.2.2).
+``select`` yields fixed-size partitions of ``(keys, weights)``, which the
+TriggerSampleStorage writes one by one (§4.2.2). They are cut from the
+whole trigger training set, which ``_select_keys`` returns on the driver:
+the set is materialized at once there, and streaming it from the Spark
+stages is still open.
 """
 from __future__ import annotations
 
@@ -128,32 +131,26 @@ class UniformRandomStrategy(PresamplingStrategy):
         if (fraction is None) == (max_samples is None):
             raise ValueError("set exactly one of fraction / max_samples")
         scope = self.scope(trigger_id)
+        total = self.backend.count(scope)
+        m = (
+            int(round(total * float(fraction)))
+            if fraction is not None
+            else min(int(max_samples), total)
+        )
         if isinstance(self.backend, SparkMetadataBackend):
-            df = self.backend.df(scope)
-            total = self.backend.count(scope)
-            m = (
-                int(round(total * float(fraction)))
-                if fraction is not None
-                else min(int(max_samples), total)
-            )
             pdf = (
-                df.orderBy(F.rand(self.seed + trigger_id))
+                self.backend.df(scope)
+                .orderBy(F.rand(self.seed + trigger_id))
                 .limit(m)
                 .select("sample_key")
                 .toPandas()
             )
             keys = pdf["sample_key"].to_numpy(np.int64)
         else:
-            pdf = self.backend.get(scope)
-            total = len(pdf)
-            m = (
-                int(round(total * float(fraction)))
-                if fraction is not None
-                else min(int(max_samples), total)
-            )
             g = np.random.default_rng(self.seed + trigger_id)
             keys = g.choice(
-                pdf["sample_key"].to_numpy(np.int64), size=m, replace=False
+                self.backend.get(scope)["sample_key"].to_numpy(np.int64),
+                size=m, replace=False,
             )
         return keys, np.ones(len(keys))
 

@@ -38,7 +38,6 @@ class Selector:
         self.strategy = strategy
         self.tss = tss
         self.current_trigger = 0  # strictly monotonically increasing id
-        self._infos: dict[int, TriggerSetInfo] = {}
 
     def inform_data(
         self, keys: np.ndarray, timestamps: np.ndarray, labels: np.ndarray
@@ -66,13 +65,8 @@ class Selector:
 
         n_parts = self.tss.persist(self.pipeline_id, tid, _counted())
         self.strategy.post_trigger(tid)
-        info = TriggerSetInfo(tid, n_samples, n_parts)
-        self._infos[tid] = info
         self.current_trigger += 1
-        return info
-
-    def get_info(self, trigger_id: int) -> TriggerSetInfo:
-        return self._infos[trigger_id]
+        return TriggerSetInfo(tid, n_samples, n_parts)
 
     def get_num_partitions(self, trigger_id: int) -> int:
         return self.tss.num_partitions(self.pipeline_id, trigger_id)

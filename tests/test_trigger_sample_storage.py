@@ -41,8 +41,8 @@ class TestTriggerSampleStorage:
         tss, n = _persist(tmp_path, parts)
         assert n == 2
         assert tss.num_partitions("pipe", 0) == 2
-        assert tss.partition_num_samples("pipe", 0, 0) == 10
-        assert tss.partition_num_samples("pipe", 0, 1) == 5
+        assert len(tss.get_worker_samples("pipe", 0, 0, 0, 1)[0]) == 10
+        assert len(tss.get_worker_samples("pipe", 0, 1, 0, 1)[0]) == 5
 
     def test_single_worker_reads_whole_partition_in_order(self, tmp_path):
         keys = np.arange(100, 137)
