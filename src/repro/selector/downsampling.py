@@ -30,7 +30,7 @@ import pandas as pd
 
 from repro.core.registry import DOWNSAMPLERS
 from repro.models.base import Model
-from repro.storage.payloads import Payloads
+from repro.storage.file_wrappers import file_runs
 from repro.storage.storage import Storage
 
 
@@ -173,7 +173,7 @@ def score_keys_spark(
     task closure, so it grows with the trigger set, not with the
     storage (Spark broadcasts large closures itself); each Arrow batch
     keeps only the requested rows (``searchsorted``) before reading any
-    payload, reads them with one ``get_samples`` call per file, parses
+    payload, reads them with one ``get_samples_of_files`` call, parses
     them with one ``batch_bytes_parser`` call and scores them with one
     ``scores`` call. This reproduces "the training loop continuously
     informs the downsampler about the forward pass" at trigger-set
@@ -214,15 +214,11 @@ def score_keys_spark(
             if pdf.empty:
                 continue
             pdf = pdf.sort_values(["file_id", "idx"], kind="stable")
-            file_ids = pdf["file_id"].to_numpy(np.int64)
-            positions = pdf["idx"].to_numpy(np.int64)
-            # [lo, hi) runs of one file, each read with one call
-            edges = [0, *(np.flatnonzero(np.diff(file_ids)) + 1).tolist(), len(pdf)]
-            payloads = Payloads.concat(
-                [
-                    wrapper.get_samples(paths[int(file_ids[lo])], positions[lo:hi])
-                    for lo, hi in zip(edges, edges[1:])
-                ]
+            run_files, run_positions = file_runs(
+                pdf["file_id"].to_numpy(np.int64), pdf["idx"].to_numpy(np.int64)
+            )
+            payloads = wrapper.get_samples_of_files(
+                [paths[f] for f in run_files], run_positions
             )
             X = model.stack_batch(batch_bytes_parser(payloads))
             y = pdf["label"].to_numpy(np.int64)

@@ -6,7 +6,7 @@ per-pipeline/per-trigger Postgres table partitioning, which keeps insert
 performance flat as triggers accumulate), and selection policies are
 expressed as Spark SQL / DataFrame queries over it. Appends are written
 from the driver (``repro.storage.parquet``); Spark only reads, one scan
-over the requested ``trigger_id=<t>`` directories.
+over the files this backend committed to the requested triggers.
 
 ``LocalMetadataBackend`` is the C++-extension analog: seen samples are
 written as fixed-record binary files by a thread pool
@@ -82,9 +82,9 @@ class SparkMetadataBackend(MetadataBackend):
         self.spark.conf.set("spark.sql.codegen.factoryMode", "NO_CODEGEN")
         # Partition by pipeline first, then trigger — the paper's layout.
         self.root = os.path.join(root, f"pipeline={pipeline_id}")
-        # rows persisted per trigger bucket: which buckets exist, and
-        # ``count`` without a Spark job
-        self._rows: dict[int, int] = {}
+        # trigger id -> (path, rows) of each file this backend committed
+        # to the bucket: what ``df`` scans, and ``count`` without a job
+        self._files: dict[int, list[tuple[str, int]]] = {}
         self._lock = threading.Lock()
         os.makedirs(self.root, exist_ok=True)
 
@@ -97,33 +97,35 @@ class SparkMetadataBackend(MetadataBackend):
         # Arrow-built file per call, written from the driver (no Spark
         # job). An empty batch still writes a file, so the bucket exists
         # and carries the schema.
-        parquet.append(self._bucket(trigger_id), (keys, labels, timestamps), _SEEN_ARROW)
+        path = parquet.append(self._bucket(trigger_id), (keys, labels, timestamps), _SEEN_ARROW)
         with self._lock:
-            t = int(trigger_id)
-            self._rows[t] = self._rows.get(t, 0) + len(keys)
+            self._files.setdefault(int(trigger_id), []).append((path, len(keys)))
 
     def df(self, trigger_ids: Sequence[int]) -> DataFrame:
         """The requested trigger buckets as one Spark DataFrame: one scan
-        over their directories (``parquet.scan``), ``trigger_id`` a
-        ``long`` partition value read from each directory's name.
+        (``parquet.scan``) over exactly the files this backend committed
+        to them, ``trigger_id`` a ``long`` partition value read from each
+        file's bucket directory name.
 
+        So the rows match ``count``: a bucket directory that another
+        backend on the same root wrote into shows only this one's files.
         Buckets are read with the schema ``persist`` writes, so planning
         the scan runs no Spark job (no footer read to infer it).
         """
         with self._lock:
-            buckets = [self._bucket(t) for t in trigger_ids if int(t) in self._rows]
-        return parquet.scan(self.spark, buckets, _BUCKET_COLUMNS, base=self.root)
+            files = [f for t in trigger_ids for f, _ in self._files.get(int(t), ())]
+        return parquet.scan(self.spark, files, _BUCKET_COLUMNS, base=self.root)
 
     def get(self, trigger_ids: Sequence[int]) -> pd.DataFrame:
         return self.df(trigger_ids).toPandas()
 
     def count(self, trigger_ids: Sequence[int]) -> int:
         with self._lock:
-            return sum(self._rows.get(int(t), 0) for t in trigger_ids)
+            return sum(n for t in trigger_ids for _, n in self._files.get(int(t), ()))
 
     def reset(self, trigger_id: int) -> None:
         with self._lock:
-            self._rows.pop(int(trigger_id), None)
+            self._files.pop(int(trigger_id), None)
         shutil.rmtree(self._bucket(trigger_id), ignore_errors=True)
 
 

@@ -4,8 +4,10 @@ Each ingested file contains one or more samples. The wrapper knows the
 file format and returns the raw sample payloads as one ``Payloads``
 buffer (a ``Sequence[bytes]`` over one contiguous ``np.uint8`` array);
 converting payloads to model input is the pipeline's
-``bytes_parser_function`` (§3.5), not the wrapper's job. Three wrappers,
-as in the paper:
+``bytes_parser_function`` (§3.5), not the wrapper's job. The storage
+fills each send buffer with one ``get_samples_of_files`` call over the
+buffer's files (``file_runs`` cuts file-sorted rows into its
+arguments). Three wrappers, as in the paper:
 
 - ``BinaryFileWrapper``   — fixed-row-size binary files (recommender data)
 - ``CsvFileWrapper``      — variable-length CSV rows
@@ -15,12 +17,26 @@ as in the paper:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
 
 from repro.storage.filesystem import FilesystemWrapper, LocalFilesystemWrapper
 from repro.storage.payloads import Payloads
+
+
+def file_runs(file_ids: np.ndarray, positions: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """Rows sorted by file, as ``get_samples_of_files`` takes them: the
+    file id of each run of equal ``file_ids``, and the run's
+    ``positions``. Plain lists: slicing one is a small fraction of a
+    one-sample file's read, where a numpy view per run is not."""
+    if len(file_ids) == 0:
+        return [], []
+    starts = np.r_[0, np.flatnonzero(np.diff(file_ids)) + 1]
+    bounds = [*starts.tolist(), len(file_ids)]
+    pos = positions.tolist()
+    return file_ids[starts].tolist(), [pos[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class FileWrapper(ABC):
@@ -37,6 +53,17 @@ class FileWrapper(ABC):
     def get_samples(self, path: str, indices: Sequence[int]) -> Payloads:
         """Payloads of the samples at ``indices`` within ``path``, in
         request order."""
+
+    def get_samples_of_files(
+        self, paths: Sequence[str], indices: Sequence[Sequence[int]]
+    ) -> Payloads:
+        """``get_samples(paths[j], indices[j])`` for every ``j``, concatenated
+        in order: the payloads of one send buffer from one call.
+
+        Default: one ``get_samples`` call per file. Wrappers whose
+        per-file call is dominated by fixed costs override it.
+        """
+        return Payloads.concat([self.get_samples(p, i) for p, i in zip(paths, indices)])
 
     @abstractmethod
     def get_all_samples(self, path: str) -> Payloads:
@@ -208,17 +235,33 @@ class SingleSampleFileWrapper(FileWrapper):
         return 1
 
     def get_samples(self, path: str, indices: Sequence[int]) -> Payloads:
-        for i in indices:
-            if i != 0:
-                raise IndexError(f"{path}: single-sample file has no index {i}")
-        payloads = self.get_all_samples(path)
-        if len(indices) == 1:
+        return self.get_samples_of_files([path], [indices])
+
+    def get_samples_of_files(
+        self, paths: Sequence[str], indices: Sequence[Sequence[int]]
+    ) -> Payloads:
+        """One pass over ``paths``: each file is read once, whatever its
+        index count, into one buffer (one join, one offsets array). A
+        file given several (zero) indices is repeated with one ``take``;
+        one given no index is read but contributes no sample.
+
+        The bookkeeping is plain Python over the index lists, not numpy:
+        for one file (``get_samples``, ``get_all_samples``) a numpy call
+        costs about as much as the read, and for a send buffer of lists
+        it is no faster."""
+        if any(chain.from_iterable(indices)):
+            j, bad = next((j, i) for j, idx in enumerate(indices) for i in idx if i)
+            raise IndexError(f"{paths[j]}: single-sample file has no index {bad}")
+        data = [self.fs.get(p) for p in paths]
+        offsets = np.fromiter(accumulate(map(len, data), initial=0), np.int64, len(data) + 1)
+        payloads = Payloads(np.frombuffer(b"".join(data), np.uint8), offsets=offsets)
+        counts = list(map(len, indices))
+        if counts.count(1) == len(counts):
             return payloads
-        return payloads.take(np.zeros(len(indices), np.int64))
+        return payloads.take(np.repeat(np.arange(len(paths)), counts))
 
     def get_all_samples(self, path: str) -> Payloads:
-        data = np.frombuffer(self.fs.get(path), np.uint8)
-        return Payloads(data, offsets=np.array([0, len(data)], np.int64))
+        return self.get_samples_of_files([path], [[0]])
 
     def get_labels(self, path: str) -> np.ndarray:
         raw = self.fs.get(path + self.LABEL_SUFFIX)

@@ -55,8 +55,18 @@ class LocalFilesystemWrapper(FilesystemWrapper):
     """
 
     def get(self, path: str) -> bytes:
-        with open(path, "rb") as f:
-            return f.read()
+        # raw descriptor, as in ``get_range``: open, fstat, one read of the
+        # whole size (repeated only while the kernel returns less), close
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            left = os.fstat(fd).st_size
+            chunks = []
+            while left > 0 and (chunk := os.read(fd, left)):
+                chunks.append(chunk)
+                left -= len(chunk)
+            return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        finally:
+            os.close(fd)
 
     def get_range(self, path: str, offset: int, length: int) -> bytes:
         # one positioned read on a raw descriptor: three syscalls, each

@@ -7,8 +7,11 @@ Postgres database (see DESIGN.md).
 
 Retrieval follows the paper's Figure 6: an incoming list of keys is split
 into ``storage_threads`` equal parts; each part runs its *own* metadata
-lookup, groups the hits by source file, extracts payloads through the
-``FileWrapper``, and emits fixed-size send buffers as soon as they fill.
+lookup, sorts the hits by source file and cuts them into
+``send_buffer_size`` slices, and emits each slice as a send buffer as
+soon as one ``FileWrapper.get_samples_of_files`` call has read its
+payloads (one call per buffer rather than per file: for one-sample
+files a per-file call's fixed cost is most of the read).
 All payload I/O goes through one bounded process-global thread pool,
 which is what makes "too many parallel requests overload the system"
 reproducible here.
@@ -51,7 +54,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.storage import parquet
-from repro.storage.file_wrappers import FileWrapper
+from repro.storage.file_wrappers import FileWrapper, file_runs
 from repro.storage.payloads import Payloads
 
 # Process-global I/O pool: the analog of the paper's bounded Postgres
@@ -322,41 +325,21 @@ class Storage:
     def _retrieve_part(
         self, keys: np.ndarray, out: "queue.Queue[SampleBuffer | None]"
     ) -> None:
-        """One storage thread: metadata lookup, then per-file extraction
-        into send buffers (paper Fig. 6)."""
+        """One storage thread: metadata lookup, then the keys sorted by
+        file and cut into send buffers, each filled by one file-wrapper
+        call over its files (paper Fig. 6)."""
         file_ids, positions, labels = self.lookup(keys)
         order = np.lexsort((positions, file_ids))  # sorted by file
         keys, file_ids, positions, labels = (
             keys[order], file_ids[order], positions[order], labels[order]
         )
-        pending: list[SampleBuffer] = []
-        pend_n = 0
-
-        def _flush() -> None:
-            nonlocal pend_n
-            if pending:
-                out.put(SampleBuffer.concat(pending))
-                pending.clear()
-                pend_n = 0
-
-        # [lo, hi) runs of one file; every piece below is a view
-        edges = [0, *(np.flatnonzero(np.diff(file_ids)) + 1).tolist(), len(keys)]
-        for lo, hi in zip(edges, edges[1:]):
-            if lo == hi:
-                continue
-            path = self._files[int(file_ids[lo])]
-            payloads = self.file_wrapper.get_samples(path, positions[lo:hi])
-            # emit in send-buffer-sized pieces as they fill
-            start = lo
-            while start < hi:
-                end = min(start + self.send_buffer_size - pend_n, hi)
-                piece = payloads if (start, end) == (lo, hi) else payloads[start - lo : end - lo]
-                pending.append(SampleBuffer(keys[start:end], labels[start:end], piece))
-                pend_n += end - start
-                start = end
-                if pend_n >= self.send_buffer_size:
-                    _flush()
-        _flush()
+        for lo in range(0, len(keys), self.send_buffer_size):
+            hi = lo + self.send_buffer_size
+            run_files, run_positions = file_runs(file_ids[lo:hi], positions[lo:hi])
+            payloads = self.file_wrapper.get_samples_of_files(
+                [self._files[f] for f in run_files], run_positions
+            )
+            out.put(SampleBuffer(keys[lo:hi], labels[lo:hi], payloads))
 
     def retrieve_stream(
         self, keys: np.ndarray, *, storage_threads: int = 1

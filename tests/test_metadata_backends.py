@@ -143,3 +143,20 @@ class TestLocalBackend:
         b.persist(0, np.arange(7), np.arange(7), np.arange(7))
         pdf = b.get([0]).sort_values("sample_key")
         assert pdf["label"].tolist() == list(range(7))
+
+
+class TestSparkBackendOnSharedRoot:
+    def test_second_backend_reads_only_its_own_files(self, spark, tmp_path):
+        """A backend on a root another one persisted into scans only the
+        files it committed, so ``get`` agrees with ``count``."""
+        root = str(tmp_path / "meta")
+        first = SparkMetadataBackend(spark, root)
+        first.persist(0, np.arange(10), np.zeros(10), np.zeros(10))
+        second = SparkMetadataBackend(spark, root)
+        second.persist(0, np.arange(100, 104), np.ones(4), np.ones(4))
+
+        pdf = second.get([0])
+        assert second.count([0]) == len(pdf) == 4
+        assert sorted(pdf["sample_key"]) == [100, 101, 102, 103]
+        assert set(pdf["trigger_id"]) == {0}
+        assert first.count([0]) == len(first.get([0])) == 10
