@@ -13,21 +13,27 @@ batches across workers, exactly the paper's layering:
 - ``parallel_prefetch_requests`` concurrent fetches per worker
 - ``storage_threads``        threads the storage uses per request
 
-Workers start consuming a partition as soon as its first send buffer
-arrives — they do not wait for the whole partition transfer, so batch
-latency does not depend on partition size (§4.2.1).
+With ``prefetched_partitions`` >= 1, each worker keeps the fetches of
+that many partitions ahead of the one it trains on in flight, on its own
+pool of ``parallel_prefetch_requests`` threads, and starts consuming a
+partition as soon as its first send buffer arrives — it does not wait
+for the whole partition transfer, so batch latency does not depend on
+partition size (§4.2.1). With 0, a worker fetches a whole partition and
+then trains on it.
 """
 from __future__ import annotations
 
 import queue
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.batching import POLL_S, Rebatcher, Stopped, get_or_stop, round_robin
+from repro.batching import Rebatcher, get_or_stop, round_robin
 from repro.selector.selector import Selector
 from repro.storage.payloads import Payloads
 from repro.storage.storage import SampleBuffer, Storage
@@ -70,30 +76,6 @@ class OnlineDatasetConfig:
             raise ValueError("parallel_prefetch_requests must be >= 1")
         if self.storage_threads < 1:
             raise ValueError("storage_threads must be >= 1")
-
-
-class _WorkerState:
-    """Per-worker prefetch buffer: partition index -> stream queue."""
-
-    def __init__(self) -> None:
-        self.streams: dict[int, "queue.Queue"] = {}
-        self.cond = threading.Condition()
-
-    def open_stream(self, p: int) -> "queue.Queue":
-        q: "queue.Queue" = queue.Queue()
-        with self.cond:
-            self.streams[p] = q
-            self.cond.notify_all()
-        return q
-
-    def take_stream(self, p: int, stop: threading.Event) -> "queue.Queue":
-        """Partition ``p``'s stream once its fetch has started."""
-        with self.cond:
-            while p not in self.streams:
-                if stop.is_set():
-                    raise Stopped
-                self.cond.wait(POLL_S)
-            return self.streams.pop(p)
 
 
 class OnlineDataset:
@@ -177,50 +159,26 @@ class OnlineDataset:
         stop: threading.Event,
     ) -> None:
         cfg = self.config
+        pf = cfg.prefetched_partitions
         rebatch = Rebatcher(cfg.batch_size, self.transform)
-        if cfg.prefetched_partitions == 0:
-            # No prefetching: fetch each partition on demand, inline.
+        closed = threading.Event()  # this worker is done with its fetches
+        pool = ThreadPoolExecutor(cfg.parallel_prefetch_requests)
+        window: deque["queue.Queue"] = deque()  # streams of started fetches
+        try:
             for p in range(n_partitions):
-                stream: "queue.Queue" = queue.Queue()
-                self._fetch_partition(p, worker_id, stream, stop)
-                self._drain(stream, rebatch, emit, stop)
-        else:
-            state = _WorkerState()
-            slots = threading.Semaphore(cfg.prefetched_partitions)
-            next_p = iter(range(n_partitions))
-            lock = threading.Lock()
-            closed = threading.Event()  # this worker is done with its fetchers
-
-            def _prefetcher() -> None:
-                while True:
-                    slots.acquire()
-                    with lock:
-                        p = next(next_p, None)
-                    if p is None or closed.is_set():
-                        slots.release()
-                        return
-                    self._fetch_partition(p, worker_id, state.open_stream(p), closed)
-
-            fetchers = [
-                threading.Thread(target=_prefetcher, daemon=True)
-                for _ in range(cfg.parallel_prefetch_requests)
-            ]
-            for t in fetchers:
-                t.start()
-            try:
-                for p in range(n_partitions):
-                    stream = state.take_stream(p, stop)
-                    # Buffer slot frees once consumption starts, letting the
-                    # fetchers stay `prefetched_partitions` ahead.
-                    slots.release()
-                    self._drain(stream, rebatch, emit, stop)
-            finally:
-                # wake fetchers waiting for a slot, so they see `closed`
-                closed.set()
-                for _ in fetchers:
-                    slots.release()
-                for t in fetchers:
-                    t.join()
+                # Start every fetch up to `pf` partitions ahead of the one
+                # drained next: a buffer slot frees when its drain starts.
+                for q in range(p + len(window), min(p + pf + 1, n_partitions)):
+                    stream: "queue.Queue" = queue.Queue()
+                    if pf:  # a fetch's error reaches the drain on its stream
+                        pool.submit(self._fetch_partition, q, worker_id, stream, closed)
+                    else:  # on demand: fetch the whole partition, then train
+                        self._fetch_partition(q, worker_id, stream, stop)
+                    window.append(stream)
+                self._drain(window.popleft(), rebatch, emit, stop)
+        finally:
+            closed.set()
+            pool.shutdown(cancel_futures=True)
         tail = rebatch.flush()
         if tail is not None:
             emit(Batch(*tail))

@@ -1,9 +1,9 @@
 """An epoch stops every thread it started, when abandoned and when it fails.
 
 Both datasets run their workers through ``repro.batching.round_robin``.
-Closing the batch generator after one batch, or a parser raising in one
-worker, must bring ``threading.active_count()`` back to where it was
-before the epoch.
+Closing the batch generator after one batch, a parser raising in one
+worker, or a storage lookup raising under one partition fetch, must bring
+``threading.active_count()`` back to where it was before the epoch.
 """
 import threading
 import time
@@ -66,20 +66,25 @@ def _settled(baseline: int, timeout: float = 10.0) -> int:
     return threading.active_count()
 
 
-def _failing_parser(on_call: int):
-    """``criteo_batch_parser`` that raises on its ``on_call``-th call."""
+def _failing_on(on_call: int, fn, name: str):
+    """``fn`` that raises on its ``on_call``-th call."""
     lock = threading.Lock()
     calls = [0]
 
-    def parse(payloads):
+    def call(*args, **kwargs):
         with lock:
             calls[0] += 1
             n = calls[0]
         if n == on_call:
-            raise RuntimeError("parser failed")
-        return criteo_batch_parser(payloads)
+            raise RuntimeError(f"{name} failed")
+        return fn(*args, **kwargs)
 
-    return parse
+    return call
+
+
+def _failing_parser(on_call: int):
+    """``criteo_batch_parser`` that raises on its ``on_call``-th call."""
+    return _failing_on(on_call, criteo_batch_parser, "parser")
 
 
 def _online(storage, selector, parser, overrides):
@@ -104,12 +109,20 @@ class TestOnlineDataset:
         batches.close()
         assert _settled(baseline) <= baseline
 
+    @pytest.mark.parametrize("failing", ["parser", "lookup"])
     @pytest.mark.parametrize("overrides", ONLINE_CONFIGS)
     def test_failed_epoch_stops_its_threads(
-        self, criteo_storage, selector, baseline, overrides
+        self, criteo_storage, selector, baseline, monkeypatch, overrides, failing
     ):
-        ds = _online(criteo_storage, selector, _failing_parser(3), overrides)
-        with pytest.raises(RuntimeError, match="parser failed"):
+        parser = criteo_batch_parser
+        if failing == "parser":
+            parser = _failing_parser(3)
+        else:
+            monkeypatch.setattr(
+                criteo_storage, "lookup", _failing_on(3, criteo_storage.lookup, "lookup")
+            )
+        ds = _online(criteo_storage, selector, parser, overrides)
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
             for _ in ds.batches():
                 pass
         assert _settled(baseline) <= baseline

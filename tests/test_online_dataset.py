@@ -4,6 +4,9 @@ The key invariant: regardless of worker count, prefetch depth, parallel
 prefetch requests, partition size, or storage threads, one epoch yields
 every sample of the trigger training set exactly once with its weight.
 """
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -184,3 +187,89 @@ class TestSubsetSelection:
         keys, _, _, _ = _collect(ds)
         assert len(keys) == 250
         assert len(set(keys.tolist())) == 250
+
+
+WINDOW_CONFIGS = [(0, 1), (1, 1), (2, 1), (2, 2)]
+
+
+class TestPrefetchWindow:
+    """One worker keeps at most ``prefetched_partitions`` fetches ahead of
+    the partition it drains, and at most ``parallel_prefetch_requests``
+    of them in flight; with no prefetching it fetches a partition only
+    once the previous one is drained whole."""
+
+    @pytest.fixture(scope="class")
+    def window_selector(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("window")
+        strat = NewDataStrategy(
+            LocalMetadataBackend(str(tmp / "meta")), reset_after_trigger=False,
+            partition_size=300,
+        )
+        sel = Selector("window", strat, TriggerSampleStorage(str(tmp / "tss")))
+        sel.inform_data(np.arange(CRITEO_N), np.zeros(CRITEO_N), np.zeros(CRITEO_N))
+        sel.trigger()
+        return sel
+
+    @pytest.mark.parametrize("pf,par", WINDOW_CONFIGS)
+    def test_fetches_stay_within_the_window(
+        self, criteo_storage, window_selector, monkeypatch, pf, par
+    ):
+        n_partitions = window_selector.get_num_partitions(0)
+        assert n_partitions >= 8
+        cfg = OnlineDatasetConfig(
+            batch_size=64, prefetched_partitions=pf, parallel_prefetch_requests=par
+        )
+        ds = OnlineDataset(
+            criteo_storage, window_selector, 0, cfg, batch_bytes_parser=criteo_batch_parser
+        )
+        lock = threading.Lock()
+        events = []  # ("fetch", partition) | ("drain",) | ("drained",)
+        in_flight, most_in_flight = 0, 0
+        get_worker_samples = window_selector.get_worker_samples
+        retrieve_stream = criteo_storage.retrieve_stream
+        drain = ds._drain
+
+        def recording_get_worker_samples(trigger_id, partition, *args):
+            nonlocal in_flight, most_in_flight
+            with lock:
+                events.append(("fetch", partition))
+                in_flight += 1
+                most_in_flight = max(most_in_flight, in_flight)
+            return get_worker_samples(trigger_id, partition, *args)
+
+        def recording_retrieve_stream(keys, **kwargs):
+            nonlocal in_flight
+            try:
+                yield from retrieve_stream(keys, **kwargs)
+            finally:
+                with lock:
+                    in_flight -= 1
+
+        def recording_drain(*args):
+            # the fetches started so far get time to begin, so one that
+            # started a partition too early is recorded before this drain
+            time.sleep(0.03)
+            with lock:
+                events.append(("drain",))
+            drain(*args)
+            with lock:
+                events.append(("drained",))
+
+        monkeypatch.setattr(
+            window_selector, "get_worker_samples", recording_get_worker_samples
+        )
+        monkeypatch.setattr(criteo_storage, "retrieve_stream", recording_retrieve_stream)
+        monkeypatch.setattr(ds, "_drain", recording_drain)
+        keys, _, _, _ = _collect(ds)
+
+        assert sorted(keys.tolist()) == list(range(CRITEO_N))
+        fetched = [e[1] for e in events if e[0] == "fetch"]
+        assert sorted(fetched) == list(range(n_partitions))
+        for i, event in enumerate(events):
+            if event[0] != "fetch":
+                continue
+            before = [e[0] for e in events[:i]]
+            assert before.count("drain") >= event[1] - pf
+            if pf == 0:
+                assert before.count("drained") >= event[1]
+        assert most_in_flight <= par

@@ -5,8 +5,10 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import Pipeline
 from repro.evaluator import Evaluator
+from repro.experiments.selection import build_cloc_stream, run_one_pipeline, year_matrix
 from repro.model_storage.model_storage import ModelStorage
 from repro.storage.storage import Storage
+from repro.synth_data import CLOC_YEARS
 from tests.conftest import (
     CLOC_CLASSES,
     CLOC_DIM,
@@ -273,3 +275,25 @@ class TestPipelineVariants:
         result = pipe.run_experiment(announce_batch_size=600)
         assert result.num_triggers == CRITEO_N // 1500
         assert result.train_results[0].num_samples == 1500
+
+
+class TestSelectionStudy:
+    """T4 (§5.2) at reduced scale: 11 yearly triggers over the 32-class
+    cloc-lite stream, one pipeline per data-selection policy."""
+
+    PER_YEAR = 150
+
+    @pytest.fixture(scope="class")
+    def stream(self, spark, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("t4"))
+        return build_cloc_stream(spark, root, per_year=self.PER_YEAR), root
+
+    @pytest.mark.parametrize("name", ["full", "uniform", "gradnorm"])
+    def test_final_model_beats_chance_on_its_year(self, spark, stream, name):
+        storage, root = stream
+        result = run_one_pipeline(
+            spark, storage, f"{root}/{name}", name, per_year=self.PER_YEAR
+        )
+        assert result.num_triggers == len(CLOC_YEARS)
+        final = CLOC_YEARS[-1]
+        assert year_matrix(result).loc[final, final] > 3 / 32
