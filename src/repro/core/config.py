@@ -53,13 +53,22 @@ class DataConfig:
     bytes_parser_function: str = "cloc"
 
     def parser(self) -> Callable[[Payloads], np.ndarray]:
-        """The data path's batch parser: a named one, or the compiled
-        per-sample ``bytes_parser_function`` lifted once to stack its
-        rows (the DataLoader's default collate); it still gets ``bytes``."""
+        """The data path's batch parser, whose output is the model's input:
+        a named one, or the compiled per-sample ``bytes_parser_function``
+        lifted once to collate its rows (it still gets ``bytes``). Rows
+        with named fields (records) are concatenated into one ``(n,)``
+        record array; other rows are stacked into ``(n, d)``."""
         if self.bytes_parser_function in NAMED_PARSERS:
             return NAMED_PARSERS[self.bytes_parser_function]
         fn = compile_bytes_parser(self.bytes_parser_function)
-        return lambda payloads: np.stack([fn(p) for p in payloads])
+
+        def collate(payloads) -> np.ndarray:
+            rows = [fn(p) for p in payloads]
+            if rows and np.asarray(rows[0]).dtype.names:
+                return np.concatenate([np.atleast_1d(r) for r in rows])
+            return np.stack(rows)
+
+        return collate
 
 
 @dataclass

@@ -104,18 +104,15 @@ class Pipeline:
         tr = self.config.training
         ds_cfg = self.config.selection.downsampling_config
         downsampler = None
-        mode = "BtS"
         if ds_cfg is not None:
             downsampler = DOWNSAMPLERS.get(ds_cfg.name)(
                 ratio=ds_cfg.ratio, seed=tr.seed
             )
-            mode = ds_cfg.mode
         return Trainer(
             model,
             lr=tr.lr,
             epochs=tr.epochs,
             downsampler=downsampler,
-            downsampling_mode=mode,
             gpu_step_seconds=tr.gpu_step_seconds,
             seed=tr.seed,
         )

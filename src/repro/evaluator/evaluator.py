@@ -61,7 +61,7 @@ class Evaluator:
             )
             labels = buffer.labels[start : start + self.batch_size]
             for k, model in models.items():
-                logits = model.forward(model.stack_batch(batch))
+                logits = model.forward(batch)
                 for m in metrics[k].values():
                     m.update(logits, labels)
         return {

@@ -1,6 +1,7 @@
 """Model interface (paper §4.1.3).
 
-A model consumes batches assembled from parsed sample payloads, trains by
+A model's input ``X`` is the batch parser's output as is (one array per
+batch: ``(n, d)`` features or ``(n,)`` records); the model trains by
 weighted SGD steps (sample weights multiply per-sample gradients, §3.1),
 and — for downsampling support — exposes per-sample losses and last-layer
 gradient norms. State is a flat dict of numpy arrays so the model-storage
@@ -9,18 +10,12 @@ component can diff and compress it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 import numpy as np
 
 
 class Model(ABC):
     """Trainable model over numpy batches."""
-
-    @abstractmethod
-    def stack_batch(self, payloads: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
-        """The model input for one batch: the batch parser's output
-        (``Batch.payloads``) as is, or per-sample rows stacked."""
 
     @abstractmethod
     def forward(self, X: np.ndarray) -> np.ndarray:

@@ -8,8 +8,6 @@ by the data path, as in the paper.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.registry import MODELS
@@ -45,11 +43,6 @@ class DlrmLite(Model):
         self.w = (g.standard_normal(self.n_dense) * 0.01).astype(np.float64)
         self.emb = np.zeros(self.hash_buckets)
         self.b = 0.0
-
-    def stack_batch(self, payloads) -> np.ndarray:
-        if isinstance(payloads, np.ndarray):  # already a record batch
-            return payloads
-        return np.concatenate([np.atleast_1d(p) for p in payloads])
 
     def _hash(self, cat: np.ndarray) -> np.ndarray:
         cols = np.arange(self.n_cat, dtype=np.int64)

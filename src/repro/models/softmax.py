@@ -7,8 +7,6 @@ score ``||x'|| * ||p - y||`` with ``x' = [x, 1]``.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.registry import MODELS
@@ -33,11 +31,6 @@ class SoftmaxRegression(Model):
             np.float64
         )
         self.b = np.zeros(self.n_classes)
-
-    def stack_batch(self, payloads) -> np.ndarray:
-        if isinstance(payloads, np.ndarray):  # already a (n, d) batch
-            return payloads.astype(np.float64, copy=False)
-        return np.stack(payloads).astype(np.float64)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return X @ self.W + self.b

@@ -220,7 +220,7 @@ def score_keys_spark(
             payloads = wrapper.get_samples_of_files(
                 [paths[f] for f in run_files], run_positions
             )
-            X = model.stack_batch(batch_bytes_parser(payloads))
+            X = batch_bytes_parser(payloads)
             y = pdf["label"].to_numpy(np.int64)
             yield pd.DataFrame(
                 {

@@ -60,7 +60,6 @@ class PresamplingStrategy(ABC):
         reset_after_trigger: bool = True,
         partition_size: int = 10_000,
         seed: int = 0,
-        **config,
     ) -> None:
         if self.requires_spark_backend and not isinstance(
             backend, SparkMetadataBackend
@@ -73,7 +72,6 @@ class PresamplingStrategy(ABC):
         self.reset_after_trigger = reset_after_trigger
         self.partition_size = int(partition_size)
         self.seed = int(seed)
-        self.config = config
 
     # ------------------------------------------------------------ informs
     def inform(
@@ -125,9 +123,20 @@ class UniformRandomStrategy(PresamplingStrategy):
     (ORDER BY rand LIMIT m); on the local backend it is an rng.choice.
     """
 
+    def __init__(
+        self,
+        backend: MetadataBackend,
+        *,
+        fraction: float | None = None,
+        max_samples: int | None = None,
+        **kw,
+    ) -> None:
+        super().__init__(backend, **kw)
+        self.fraction = fraction
+        self.max_samples = max_samples
+
     def _select_keys(self, trigger_id: int):
-        fraction = self.config.get("fraction")
-        max_samples = self.config.get("max_samples")
+        fraction, max_samples = self.fraction, self.max_samples
         if (fraction is None) == (max_samples is None):
             raise ValueError("set exactly one of fraction / max_samples")
         scope = self.scope(trigger_id)
@@ -166,11 +175,17 @@ class AbstractBalancedStrategy(PresamplingStrategy):
     requires_spark_backend = True
     balance_column: str = ""
 
+    def __init__(
+        self, backend: MetadataBackend, *, per_group: int | None = None, **kw
+    ) -> None:
+        super().__init__(backend, **kw)
+        self.per_group = per_group
+
     def _select_keys(self, trigger_id: int):
         if not self.balance_column:
             raise NotImplementedError("subclass must set balance_column")
         df = self.backend.df(self.scope(trigger_id))
-        per_group = self.config.get("per_group")
+        per_group = self.per_group
         if per_group is None:
             counts = df.groupBy(self.balance_column).count().collect()
             if not counts:

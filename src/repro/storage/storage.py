@@ -274,8 +274,8 @@ class Storage:
     def get_metadata(self, keys: np.ndarray) -> pd.DataFrame:
         """key -> (file_id, idx, label) for the given keys, via a Spark join.
 
-        This is the per-request "Postgres query" of the paper: its cost
-        scales with both registry size and the number of requested keys.
+        The stage path's form of the hot path's ``lookup``: tests hold
+        ``lookup`` against it, and retrieval does not call it.
         """
         if len(keys) == 0:
             return pd.DataFrame(columns=_REGISTRY_COLUMNS).astype("int64")

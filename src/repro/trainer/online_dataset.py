@@ -44,7 +44,8 @@ QUEUE_DEPTH = 8
 
 @dataclass(frozen=True)
 class Batch:
-    """One training batch: parsed payloads + labels + selection weights."""
+    """One training batch: the batch parser's output (the model's input)
+    + labels + selection weights."""
 
     payloads: np.ndarray
     labels: np.ndarray
@@ -211,7 +212,6 @@ class InMemoryDataset:
         *,
         batch_size: int,
         batch_bytes_parser: Callable[[Payloads], np.ndarray],
-        transform: Callable[[np.ndarray], np.ndarray] | None = None,
         shuffle_seed: int | None = None,
     ) -> None:
         weights = np.asarray(weights, np.float64)
@@ -223,7 +223,6 @@ class InMemoryDataset:
         self.weights = weights
         self.batch_size = batch_size
         self.batch_bytes_parser = batch_bytes_parser
-        self.transform = transform
         self.shuffle_seed = shuffle_seed
 
     def batches(self) -> Iterator[Batch]:
@@ -234,6 +233,4 @@ class InMemoryDataset:
         for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
             arr = self.batch_bytes_parser(self.buffer.payloads.take(idx))
-            if self.transform is not None:
-                arr = self.transform(arr)
             yield Batch(arr, self.buffer.labels[idx], self.weights[idx], self.buffer.keys[idx])

@@ -2,12 +2,16 @@
 
 Generic over any dataset exposing ``.batches()`` (OnlineDataset,
 LocalDataset via an adapter, or InMemoryDataset), so the loop is unaware
-of the data path — the paper's core abstraction claim. Supports:
+of the data path — the paper's core abstraction claim. A batch's
+``payloads`` (the batch parser's output) is the model's input as is.
+Supports:
 
 - weighted SGD steps (selection weights multiply gradients, §3.1),
-- batch-then-sample downsampling inline in the loop,
-- sample-then-batch downsampling via a scoring phase (the distributed
-  Spark stage in ``selector.downsampling``) before training,
+- batch-then-sample downsampling: ``train`` downsamples every batch
+  whenever the trainer has a downsampler,
+- sample-then-batch downsampling: ``train_stb`` runs a scoring phase (the
+  distributed Spark stage in ``selector.downsampling``), then trains on
+  the sampled subset,
 - a simulated accelerator cost per batch (``gpu_step_seconds``): the
   paper does not synchronize CUDA, the GPU works while the next batch is
   fetched — a sleep is the faithful host-side analog of that device time
@@ -53,26 +57,20 @@ class Trainer:
         lr: float,
         epochs: int = 1,
         downsampler: Downsampler | None = None,
-        downsampling_mode: str = "BtS",
         gpu_step_seconds: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if downsampling_mode not in ("BtS", "StB"):
-            raise ValueError("downsampling_mode must be 'BtS' or 'StB'")
         self.model = model
         self.lr = float(lr)
         self.epochs = int(epochs)
         self.downsampler = downsampler
-        self.downsampling_mode = downsampling_mode
         self.gpu_step_seconds = float(gpu_step_seconds)
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------ core loop
     def _step(self, batch: Batch) -> tuple[float, int]:
-        X = self.model.stack_batch(batch.payloads)
-        y = batch.labels
-        w = batch.weights
-        if self.downsampler is not None and self.downsampling_mode == "BtS":
+        X, y, w = batch.payloads, batch.labels, batch.weights
+        if self.downsampler is not None:
             # batch-then-sample: forward on the batch, train on a subset.
             scores = self.downsampler.scores(self.model, X, y)
             idx, imp = self.downsampler.sample(scores, rng=self._rng)
@@ -83,7 +81,8 @@ class Trainer:
         return loss, len(y)
 
     def train(self, dataset) -> TrainResult:
-        """Train ``epochs`` passes over ``dataset.batches()``."""
+        """Train ``epochs`` passes over ``dataset.batches()``; with a
+        downsampler, each batch is downsampled before its step (BtS)."""
         t0 = time.perf_counter()
         n_samples = n_trained = n_batches = 0
         epoch_losses: list[float] = []
@@ -109,7 +108,6 @@ class Trainer:
         *,
         batch_size: int,
         batch_bytes_parser,
-        transform=None,
         score_parallelism: int = 8,
         storage_threads: int = 1,
     ) -> TrainResult:
@@ -150,15 +148,13 @@ class Trainer:
             sel_weights[order][at],
             batch_size=batch_size,
             batch_bytes_parser=batch_bytes_parser,
-            transform=transform,
             shuffle_seed=int(self._rng.integers(2**31)),
         )
         # Train without re-downsampling (scores were already consumed).
-        saved, self.downsampler = self.downsampler, None
-        try:
-            result = self.train(dataset)
-        finally:
-            self.downsampler = saved
+        result = Trainer(
+            self.model, lr=self.lr, epochs=self.epochs,
+            gpu_step_seconds=self.gpu_step_seconds,
+        ).train(dataset)
         return TrainResult(
             len(keys),  # the data path saw the whole trigger set (scoring)
             result.num_trained_samples,

@@ -4,13 +4,27 @@
 run's ``layers.install`` and the always-on ``workloads.Probe``). A renamed
 function would only fail a traced benchmark run; here every hook is
 installed against the current ``src/repro`` and removed again, and the
-program must come back exactly as it was. ``perfbench/`` is only read.
+program must come back exactly as it was. The Probe's per-training checks
+must also pass on real trainings, so a change that breaks its accounting
+fails here rather than as failed operations of a benchmark run.
+``perfbench/`` is only read.
 """
 import importlib
 import os
 import sys
 
+import numpy as np
 import pytest
+
+from repro.models import DlrmLite
+from repro.selector.downsampling import GradNormDownsampler
+from repro.selector.metadata_backend import LocalMetadataBackend
+from repro.selector.presampling import NewDataStrategy
+from repro.selector.selector import Selector
+from repro.selector.trigger_sample_storage import TriggerSampleStorage
+from repro.synth_data import criteo_batch_parser
+from repro.trainer import OnlineDataset, OnlineDatasetConfig, Trainer
+from tests.conftest import CRITEO_N
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 _MISSING = object()
@@ -68,3 +82,39 @@ def test_probe_installs_and_restores(perfbench):
     _, _, workloads = perfbench
     probe = _recording(workloads.Probe)()
     _check_install_and_restore(probe, probe.install)
+
+
+def test_probe_verifies_stb_and_online_trainings(perfbench, criteo_storage, tmp_path):
+    """The Probe's per-training checks hold for one OnlineDataset training
+    and one StB training: StB's inner ``Trainer.train`` call passes
+    through, and the trained share follows ``trainer.downsampler.ratio``."""
+    _, _, workloads = perfbench
+    strategy = NewDataStrategy(
+        LocalMetadataBackend(str(tmp_path / "meta")), partition_size=1000
+    )
+    selector = Selector("probe", strategy, TriggerSampleStorage(str(tmp_path / "tss")))
+    selector.inform_data(np.arange(CRITEO_N), np.zeros(CRITEO_N), np.zeros(CRITEO_N))
+    trigger_id = selector.trigger().trigger_id
+    keys, weights = selector.get_all_samples(trigger_id)
+    probe = workloads.Probe()
+    probe.install()
+    try:
+        Trainer(DlrmLite(seed=0), lr=0.1).train(
+            OnlineDataset(
+                criteo_storage, selector, trigger_id,
+                OnlineDatasetConfig(batch_size=512, num_workers=2),
+                batch_bytes_parser=criteo_batch_parser,
+            )
+        )
+        Trainer(
+            DlrmLite(seed=0), lr=0.1, epochs=2, downsampler=GradNormDownsampler(ratio=0.25)
+        ).train_stb(
+            criteo_storage, keys, weights, batch_size=256,
+            batch_bytes_parser=criteo_batch_parser, score_parallelism=2,
+        )
+    finally:
+        probe.restore()
+    out = workloads.Result()
+    probe.verify(out, probe.trainings)
+    assert len(probe.trainings) == 2
+    assert (out.attempted, out.failed) == (2, 0), out.problems

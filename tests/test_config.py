@@ -8,7 +8,13 @@ from repro.core.config import (
     PipelineConfig,
     compile_bytes_parser,
 )
-from repro.synth_data import cloc_bytes_parser, criteo_bytes_parser, criteo_lite_array
+from repro.models import DlrmLite
+from repro.synth_data import (
+    CRITEO_DTYPE,
+    cloc_bytes_parser,
+    criteo_bytes_parser,
+    criteo_lite_array,
+)
 
 
 MINIMAL = {
@@ -43,7 +49,7 @@ class TestFromDict:
         with pytest.raises(ValueError, match="storage_backend"):
             PipelineConfig.from_dict(d)
 
-    def test_bad_downsampling_mode_rejected(self):
+    def test_unknown_downsampler_mode_rejected(self):
         d = dict(MINIMAL)
         d["selection"] = {
             "downsampling_config": {"name": "LossDownsampler", "mode": "XXX"}
@@ -129,6 +135,26 @@ class TestBytesParser:
         lifted = DataConfig(bytes_parser_function=src).parser()
         assert np.array_equal(lifted(rows), np.stack([fn(r) for r in rows]))
         assert lifted(rows).shape == (4, 3)
+
+    def test_user_record_parser_lifted_to_record_batch(self):
+        """A per-sample parser returning one record (the §3.5 form of
+        ``criteo_bytes_parser``) collates into the ``(n,)`` record batch
+        the named parser gives, and the model trains on it the same."""
+        src = (
+            f"DTYPE = np.dtype({CRITEO_DTYPE.descr!r})\n"
+            "def bytes_parser_function(data):\n"
+            "    return np.frombuffer(data, dtype=DTYPE)\n"
+        )
+        recs = criteo_lite_array(6, seed=2)
+        rows = [recs[i : i + 1].tobytes() for i in range(6)]
+        lifted = DataConfig(bytes_parser_function=src).parser()(rows)
+        named = DataConfig(bytes_parser_function="criteo").parser()(rows)
+        assert lifted.shape == named.shape == (6,)
+        assert np.array_equal(lifted, named)
+        y = recs["label"]
+        assert DlrmLite(seed=0).sgd_step(lifted, y, lr=0.1) == DlrmLite(seed=0).sgd_step(
+            named, y, lr=0.1
+        )
 
     def test_source_string_parser_compiled(self):
         src = (

@@ -137,7 +137,7 @@ class TestSparkScoring:
         )
         assert sorted(scored["sample_key"]) == sorted(keys.tolist())
         buf = criteo_storage.get_samples(keys)
-        X = model.stack_batch([criteo_bytes_parser(p) for p in buf.payloads])
+        X = np.concatenate([criteo_bytes_parser(p) for p in buf.payloads])
         local = ds.scores(model, X, buf.labels)
         by_key_local = dict(zip(buf.keys.tolist(), local))
         by_key_spark = dict(zip(scored["sample_key"], scored["score"]))
@@ -157,7 +157,7 @@ class TestSparkScoringStage:
 
     def _cloc_local(self, storage, model, ds, keys):
         buf = storage.get_samples(keys)
-        X = model.stack_batch([cloc_bytes_parser(p) for p in buf.payloads])
+        X = np.stack([cloc_bytes_parser(p) for p in buf.payloads])
         return dict(zip(buf.keys.tolist(), ds.scores(model, X, buf.labels)))
 
     def test_spark_scores_equal_local_exactly(self, cloc_storage):

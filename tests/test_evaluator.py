@@ -29,7 +29,7 @@ class TestEvaluate:
         keys = np.arange(100)
         out = cloc_evaluator.evaluate({"m": model}, keys, ["Accuracy"])
         buf = cloc_storage.get_samples(keys)
-        X = model.stack_batch([cloc_bytes_parser(p) for p in buf.payloads])
+        X = np.stack([cloc_bytes_parser(p) for p in buf.payloads])
         direct = (model.predict(X) == buf.labels).mean()
         assert out["m"]["Accuracy"] == pytest.approx(direct)
 
@@ -53,7 +53,7 @@ class TestEvaluate:
         model = DlrmLite(seed=0)
         random_auc = ev.evaluate({"m": model}, np.arange(1000), ["RocAuc"])["m"]["RocAuc"]
         buf = criteo_storage.get_samples(np.arange(1000, 3000))
-        X = model.stack_batch([criteo_bytes_parser(p) for p in buf.payloads])
+        X = np.concatenate([criteo_bytes_parser(p) for p in buf.payloads])
         for _ in range(15):
             model.sgd_step(X, buf.labels, lr=0.2)
         trained_auc = ev.evaluate({"m": model}, np.arange(1000), ["RocAuc"])["m"]["RocAuc"]

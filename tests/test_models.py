@@ -94,11 +94,6 @@ class TestSoftmaxRegression:
         m = SoftmaxRegression(dim=5, n_classes=3)
         assert np.array_equal(m.predict(X), np.argmax(m.forward(X), axis=1))
 
-    def test_stack_batch(self):
-        m = SoftmaxRegression(dim=3, n_classes=2)
-        batch = m.stack_batch([np.ones(3), np.zeros(3)])
-        assert batch.shape == (2, 3)
-
     def test_registered(self):
         assert MODELS.get("SoftmaxRegression") is SoftmaxRegression
 
@@ -180,11 +175,6 @@ class TestDlrmLite:
         m2 = DlrmLite(seed=9)
         m2.set_state(m1.get_state())
         assert np.allclose(m1.forward(X), m2.forward(X))
-
-    def test_stack_batch_concatenates_records(self):
-        m = DlrmLite()
-        recs = [criteo_lite_array(1, seed=i) for i in range(4)]
-        assert m.stack_batch(recs).shape == (4,)
 
     def test_registered(self):
         assert MODELS.get("DlrmLite") is DlrmLite

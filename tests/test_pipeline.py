@@ -196,6 +196,19 @@ class TestPipelineVariants:
         for info in result.trigger_infos:
             assert info.num_samples == CLOC_PER_YEAR // 2
 
+    def test_misspelt_presampling_setting_rejected(self, spark, cloc_storage, tmp_path):
+        cfg = _cloc_config(
+            "typo",
+            selection={
+                "name": "UniformRandomStrategy",
+                "presampling_config": {"fractoin": 0.5},
+            },
+            evaluation=None,
+        )
+        pipe = Pipeline(spark, cfg, cloc_storage, str(tmp_path / "wd"))
+        with pytest.raises(TypeError, match="fractoin"):
+            pipe.run_experiment(announce_batch_size=50)
+
     def test_gradnorm_stb_pipeline(self, spark, cloc_storage, tmp_path):
         cfg = _cloc_config(
             "gradnorm",

@@ -305,3 +305,24 @@ class TestRegistry:
     )
     def test_builtins_registered(self, name):
         assert name in PRESAMPLING_STRATEGIES
+
+
+class TestSettings:
+    """Strategy settings are keyword parameters: a misspelt one in a
+    pipeline's ``presampling_config`` fails when the strategy is built
+    instead of being ignored."""
+
+    @pytest.mark.parametrize(
+        "cls, settings",
+        [
+            (NewDataStrategy, {"fractoin": 0.5}),
+            (UniformRandomStrategy, {"fraction": 0.5, "max_sample": 3}),
+            (LabelBalancedStrategy, {"per_grup": 3}),
+            (GDumbStrategy, {"memory": 10}),
+        ],
+    )
+    def test_unknown_setting_rejected(self, spark, tmp_path, cls, settings):
+        backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
+        (typo,) = set(settings) - {"fraction"}
+        with pytest.raises(TypeError, match=typo):
+            cls(backend, reset_after_trigger=True, **settings)

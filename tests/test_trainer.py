@@ -68,10 +68,6 @@ class TestTrainLoop:
         assert slow.wall_time_s > fast.wall_time_s
         assert slow.throughput < fast.throughput
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="BtS"):
-            Trainer(DlrmLite(), lr=0.1, downsampling_mode="nope")
-
 
 class TestBtSDownsampling:
     def test_trains_on_fraction_of_each_batch(self, criteo_storage, selector):
@@ -79,7 +75,6 @@ class TestBtSDownsampling:
             DlrmLite(seed=0),
             lr=0.1,
             downsampler=GradNormDownsampler(ratio=0.5),
-            downsampling_mode="BtS",
         )
         res = tr.train(_dataset(criteo_storage, selector))
         assert res.num_samples == CRITEO_N  # data path saw everything
@@ -103,7 +98,6 @@ class TestStBDownsampling:
             DlrmLite(seed=0),
             lr=0.1,
             downsampler=GradNormDownsampler(ratio=0.25),
-            downsampling_mode="StB",
         )
         res = tr.train_stb(
             criteo_storage,
@@ -128,7 +122,7 @@ class TestStBDownsampling:
     def test_stb_downsampler_restored_after_training(self, criteo_storage, selector):
         keys, weights = selector.get_all_samples(0)
         ds = GradNormDownsampler(ratio=0.5)
-        tr = Trainer(DlrmLite(seed=0), lr=0.1, downsampler=ds, downsampling_mode="StB")
+        tr = Trainer(DlrmLite(seed=0), lr=0.1, downsampler=ds)
         tr.train_stb(
             criteo_storage, keys, weights, batch_size=256,
             batch_bytes_parser=criteo_batch_parser,
@@ -141,7 +135,6 @@ class TestStBDownsampling:
         keys = np.array([0, 1, 1, 2, 3, 3, 3, 4])
         tr = Trainer(
             DlrmLite(seed=0), lr=0.1, downsampler=GradNormDownsampler(ratio=0.5),
-            downsampling_mode="StB",
         )
         res = tr.train_stb(
             criteo_storage, keys, np.ones(len(keys)), batch_size=4,
@@ -155,7 +148,6 @@ class TestStBDownsampling:
         ``train`` gives for an empty dataset, with no Spark job."""
         tr = Trainer(
             DlrmLite(seed=0), lr=0.1, epochs=2, downsampler=GradNormDownsampler(),
-            downsampling_mode="StB",
         )
         results = []
         train = lambda: results.append(  # noqa: E731
@@ -184,7 +176,6 @@ class TestStBDownsampling:
         monkeypatch.setattr(Trainer, "train", spy)
         tr = Trainer(
             DlrmLite(seed=0), lr=0.1, downsampler=UniformDownsampler(ratio=0.5),
-            downsampling_mode="StB",
         )
         tr.train_stb(
             criteo_storage, keys, weights, batch_size=256,
@@ -241,7 +232,7 @@ class TestWeightedTraining:
                 self.w = w
 
             def batches(self):
-                yield Batch(list(X), y, self.w, np.arange(64))
+                yield Batch(X, y, self.w, np.arange(64))
 
         m1 = SoftmaxRegression(dim=4, n_classes=3, seed=1)
         m2 = SoftmaxRegression(dim=4, n_classes=3, seed=1)
