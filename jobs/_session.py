@@ -1,15 +1,39 @@
 """Shared SparkSession builder for the spark-submit job entrypoints.
 
-Jobs run outside pytest, so they build their own local session with the
-same settings as the test fixture in ``conftest.py``.
+Jobs run outside pytest, from a checkout: importing this module puts the
+checkout's ``src`` on ``sys.path`` and at the front of ``PYTHONPATH``,
+which Spark's Python workers inherit (StB scoring's ``mapInPandas``
+imports ``repro`` there). The local session has the settings of the test
+fixture in ``conftest.py``; the driver gets ``SPARK_DRIVER_MEM``, or else
+half of MemTotal clamped to 2-8 GiB, as perfbench sizes it.
 """
 import os
+import sys
 import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+_prior = os.environ.get("PYTHONPATH")
+os.environ["PYTHONPATH"] = SRC + (os.pathsep + _prior if _prior else "")
+
+
+def _driver_memory() -> str:
+    if mem := os.environ.get("SPARK_DRIVER_MEM"):
+        return mem
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemTotal:"):
+                    return f"{min(8, max(2, int(line.split()[1]) // 2097152))}g"
+    except OSError:
+        pass
+    return "2g"
+
 
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '16g')} "
+    f"--driver-memory {_driver_memory()} "
     "--conf spark.driver.host=127.0.0.1 "
     "--conf spark.ui.enabled=false "
     "pyspark-shell",

@@ -6,9 +6,10 @@ workload is compute-bound, and Modyn reaches 98-100 % of local.
 
 Run: ``python jobs/table_cloc_throughput.py``.
 """
+import os
 import sys
 
-sys.path.insert(0, "jobs")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _session import make_spark, workdir  # noqa: E402
 
 from repro.experiments.throughput import local_vs_modyn  # noqa: E402

@@ -6,9 +6,10 @@ cell, in the same w/pf/par layout the paper's figure uses.
 
 Run: ``python jobs/table_criteo_throughput.py`` (or via spark-submit).
 """
+import os
 import sys
 
-sys.path.insert(0, "jobs")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _session import make_spark, workdir  # noqa: E402
 
 from repro.experiments.throughput import criteo_grid  # noqa: E402

@@ -7,9 +7,10 @@ selection), and Modyn as a percentage of local. Paper: 92 / 87.2 /
 
 Run: ``python jobs/table_local_vs_modyn.py``.
 """
+import os
 import sys
 
-sys.path.insert(0, "jobs")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _session import make_spark, workdir  # noqa: E402
 
 from repro.experiments.throughput import local_vs_modyn  # noqa: E402

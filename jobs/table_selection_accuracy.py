@@ -12,9 +12,10 @@ DLIS GradNorm 50 % (sample-then-batch). Prints:
 
 Run: ``python jobs/table_selection_accuracy.py``.
 """
+import os
 import sys
 
-sys.path.insert(0, "jobs")
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _session import make_spark, workdir  # noqa: E402
 
 from repro.experiments.selection import (  # noqa: E402

@@ -23,49 +23,59 @@ from repro.storage.storage import Storage
 from repro.synth_data import CLOC_YEARS, generate_cloc_files
 
 
-def _pipeline_config(name: str, *, n_classes: int, dim: int, epochs: int,
-                     batch_size: int, lr: float, partition_size: int) -> PipelineConfig:
-    selection: dict = {
+#: The study's fixed settings: the cloc-lite stream's shape, the
+#: training of every trigger, and the three pipelines in run order.
+N_CLASSES = 32
+DIM = 16
+EPOCHS = 3
+BATCH_SIZE = 256
+LR = 0.025
+PIPELINES = ("full", "uniform", "gradnorm")
+
+#: each pipeline's selection section, without its partition size
+_SELECTIONS = {
+    "full": {"name": "NewDataStrategy", "storage_backend": "local"},
+    # the paper's ~20-LOC SQL strategy needs the Spark (SQL) backend
+    "uniform": {
+        "name": "UniformRandomStrategy",
+        "storage_backend": "spark",
+        "presampling_config": {"fraction": 0.5},
+    },
+    "gradnorm": {
         "name": "NewDataStrategy",
         "storage_backend": "local",
-        "reset_after_trigger": True,
-        "partition_size": partition_size,
-    }
-    if name == "uniform":
-        # the paper's ~20-LOC SQL strategy needs the Spark (SQL) backend
-        selection = {
-            "name": "UniformRandomStrategy",
-            "storage_backend": "spark",
-            "reset_after_trigger": True,
-            "partition_size": partition_size,
-            "presampling_config": {"fraction": 0.5},
-        }
-    elif name == "gradnorm":
-        selection["downsampling_config"] = {
+        "downsampling_config": {
             "name": "GradNormDownsampler",
             "ratio": 0.5,
             "mode": "StB",
             "score_parallelism": 8,
-        }
-    elif name != "full":
-        raise ValueError(f"unknown pipeline {name!r}")
+        },
+    },
+}
+
+
+def _pipeline_config(name: str, *, partition_size: int) -> PipelineConfig:
     return PipelineConfig.from_dict(
         {
             "pipeline_id": f"cloc_{name}",
             "model": {
                 "id": "SoftmaxRegression",
-                "config": {"dim": dim, "n_classes": n_classes, "seed": 0},
+                "config": {"dim": DIM, "n_classes": N_CLASSES, "seed": 0},
             },
             "data": {"bytes_parser_function": "cloc"},
             "trigger": {
                 "id": "TimeTrigger",
                 "trigger_config": {"every": 1, "start_timestamp": CLOC_YEARS[0]},
             },
-            "selection": selection,
+            "selection": {
+                **_SELECTIONS[name],
+                "reset_after_trigger": True,
+                "partition_size": partition_size,
+            },
             "training": {
-                "batch_size": batch_size,
-                "epochs": epochs,
-                "lr": lr,
+                "batch_size": BATCH_SIZE,
+                "epochs": EPOCHS,
+                "lr": LR,
                 "use_previous_model": True,
                 "dataloader_workers": 2,
                 "prefetched_partitions": 1,
@@ -75,22 +85,10 @@ def _pipeline_config(name: str, *, n_classes: int, dim: int, epochs: int,
     )
 
 
-def build_cloc_stream(
-    spark: SparkSession,
-    root: str,
-    *,
-    per_year: int,
-    years: tuple[int, ...] = CLOC_YEARS,
-    n_classes: int = 32,
-    dim: int = 16,
-) -> Storage:
+def build_cloc_stream(spark: SparkSession, root: str, *, per_year: int) -> Storage:
     """Generate + ingest the drifting cloc-lite stream (all years)."""
     paths, stamps = generate_cloc_files(
-        os.path.join(root, "data"),
-        per_year=per_year,
-        years=years,
-        n_classes=n_classes,
-        dim=dim,
+        os.path.join(root, "data"), per_year=per_year, n_classes=N_CLASSES, dim=DIM
     )
     storage = Storage(spark, os.path.join(root, "storage"), SingleSampleFileWrapper())
     storage.ingest_files(paths, timestamps=stamps)
@@ -98,17 +96,7 @@ def build_cloc_stream(
 
 
 def run_selection_study(
-    spark: SparkSession,
-    root: str,
-    *,
-    per_year: int = 1000,
-    years: tuple[int, ...] = CLOC_YEARS,
-    n_classes: int = 32,
-    dim: int = 16,
-    epochs: int = 3,
-    batch_size: int = 256,
-    lr: float = 0.025,
-    pipelines: tuple[str, ...] = ("full", "uniform", "gradnorm"),
+    spark: SparkSession, root: str, *, per_year: int = 1000
 ) -> dict[str, PipelineResult]:
     """Run the three §5.2 pipelines over one shared data stream.
 
@@ -116,49 +104,18 @@ def run_selection_study(
     accuracy matrix with rows = trigger ids and columns = trigger ids,
     which map 1:1 to years (trigger_timestamps).
     """
-    storage = build_cloc_stream(
-        spark, root, per_year=per_year, years=years, n_classes=n_classes, dim=dim
-    )
-    results: dict[str, PipelineResult] = {}
-    for name in pipelines:
-        results[name] = run_one_pipeline(
-            spark,
-            storage,
-            root,
-            name,
-            per_year=per_year,
-            n_classes=n_classes,
-            dim=dim,
-            epochs=epochs,
-            batch_size=batch_size,
-            lr=lr,
-        )
-    return results
+    storage = build_cloc_stream(spark, root, per_year=per_year)
+    return {
+        name: run_one_pipeline(spark, storage, root, name, per_year=per_year)
+        for name in PIPELINES
+    }
 
 
 def run_one_pipeline(
-    spark: SparkSession,
-    storage: Storage,
-    root: str,
-    name: str,
-    *,
-    per_year: int,
-    n_classes: int = 32,
-    dim: int = 16,
-    epochs: int = 3,
-    batch_size: int = 256,
-    lr: float = 0.025,
+    spark: SparkSession, storage: Storage, root: str, name: str, *, per_year: int
 ) -> PipelineResult:
     """Run one of the three §5.2 pipelines over an ingested stream."""
-    cfg = _pipeline_config(
-        name,
-        n_classes=n_classes,
-        dim=dim,
-        epochs=epochs,
-        batch_size=batch_size,
-        lr=lr,
-        partition_size=max(200, per_year // 4),
-    )
+    cfg = _pipeline_config(name, partition_size=max(200, per_year // 4))
     pipe = Pipeline(spark, cfg, storage, os.path.join(root, f"wd_{name}"))
     return pipe.run_experiment(announce_batch_size=per_year)
 
@@ -180,25 +137,14 @@ def implementation_loc() -> pd.DataFrame:
     this codebase's implementations.
     """
 
-    def loc(obj) -> int:
-        return len(inspect.getsource(obj).splitlines())
-
+    policies = (
+        ("full (NewDataStrategy core)", NewDataStrategy._select_keys, 1),
+        ("uniform random (SQL strategy)", UniformRandomStrategy._select_keys, 20),
+        ("GradNorm downsampler (class)", GradNormDownsampler, 90),
+    )
     return pd.DataFrame(
         [
-            {
-                "pipeline": "full (NewDataStrategy core)",
-                "loc": loc(NewDataStrategy._select_keys),
-                "paper_loc": 1,
-            },
-            {
-                "pipeline": "uniform random (SQL strategy)",
-                "loc": loc(UniformRandomStrategy._select_keys),
-                "paper_loc": 20,
-            },
-            {
-                "pipeline": "GradNorm downsampler (class)",
-                "loc": loc(GradNormDownsampler),
-                "paper_loc": 90,
-            },
+            {"pipeline": name, "loc": len(inspect.getsource(obj).splitlines()), "paper_loc": paper}
+            for name, obj, paper in policies
         ]
     )

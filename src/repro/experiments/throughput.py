@@ -5,6 +5,11 @@ Measures end-to-end training throughput of the Modyn data path
 while sweeping the five §5.1 knobs, and compares against the local
 sequential-read baseline that has no sample-level selection.
 
+Each workload is described once, in ``WORKLOADS``: how its files are
+generated, stored, parsed and trained on, and its T2/T3 settings.
+``build_workload`` generates and ingests one; ``WorkloadSetup.trigger_set``
+materializes the trigger set a measurement trains on.
+
 The "GPU" is simulated by a fixed per-batch device time
 (``gpu_step_seconds``) on top of the real numpy model update; the paper
 does not synchronize CUDA, so device time overlaps data fetching there —
@@ -16,8 +21,11 @@ with ≥4 workers as in Figure 8b.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -28,7 +36,7 @@ from repro.selector.metadata_backend import LocalMetadataBackend
 from repro.selector.presampling import NewDataStrategy
 from repro.selector.selector import Selector
 from repro.selector.trigger_sample_storage import TriggerSampleStorage
-from repro.storage.file_wrappers import BinaryFileWrapper, SingleSampleFileWrapper
+from repro.storage.file_wrappers import BinaryFileWrapper, FileWrapper, SingleSampleFileWrapper
 from repro.storage.local_dataset import LocalDataset
 from repro.storage.storage import Storage
 from repro.synth_data import (
@@ -38,7 +46,7 @@ from repro.synth_data import (
     generate_cloc_files,
     generate_criteo_files,
 )
-from repro.trainer.online_dataset import OnlineDataset, OnlineDatasetConfig
+from repro.trainer.online_dataset import Batch, OnlineDataset, OnlineDatasetConfig
 from repro.trainer.trainer import Trainer
 
 # The throughput experiments run ~40 threads (workers, prefetchers,
@@ -84,132 +92,103 @@ def make_decode_transform(bytes_per_sample: int):
     return transform
 
 
-@dataclasses.dataclass
-class WorkloadSetup:
-    """One ingested workload with a single materialized trigger set."""
+@dataclasses.dataclass(frozen=True)
+class Workload:
+    """How one workload's samples are stored, read and trained on."""
 
-    name: str
-    storage: Storage
-    selector: Selector
-    trigger_id: int
-    files: list[str]  # payload files, for the local baseline
-    n_samples: int
-    batch_parser: object  # vectorized buffer-level parser (hot path)
+    wrapper: FileWrapper
+    #: (directory, n_samples) -> (payload files, their timestamps)
+    generate: Callable[[str, int], tuple[list[str], list[int]]]
+    batch_parser: Callable  # vectorized buffer-level parser (hot path)
+    transform: Callable | None  # per-batch worker-side transform (decode sim)
     batch_size: int
     gpu_step_seconds: float
-    transform: object = None  # per-batch worker-side transform (decode sim)
-
-    def make_model(self):
-        if self.name.startswith("criteo"):
-            return DlrmLite(seed=0)
-        return SoftmaxRegression(dim=16, n_classes=32, seed=0)
-
-
-def _materialize_trigger(
-    root: str, keys: np.ndarray, *, partition_size: int, tag: str
-) -> Selector:
-    backend = LocalMetadataBackend(os.path.join(root, f"meta_{tag}"))
-    strategy = NewDataStrategy(
-        backend, reset_after_trigger=False, partition_size=partition_size
-    )
-    selector = Selector(
-        f"bench_{tag}", strategy, TriggerSampleStorage(os.path.join(root, f"tss_{tag}"))
-    )
-    selector.inform_data(keys, np.zeros(len(keys)), np.zeros(len(keys)))
-    selector.trigger()
-    return selector
+    make_model: Callable
+    #: T2/T3 (Fig. 8): the trigger set's partition size and the best
+    #: Modyn config, as ``measure_modyn`` keywords
+    partition_size: int
+    modyn_config: dict
 
 
-def build_criteo_setup(
-    spark: SparkSession,
-    root: str,
-    *,
-    n_samples: int = 120_000,
-    samples_per_file: int = 20_000,
-    partition_size: int = 10_000,
-    batch_size: int = CRITEO_BATCH,
-    gpu_step_seconds: float = CRITEO_GPU_SECONDS,
-) -> WorkloadSetup:
-    """Generate+ingest criteo-lite and materialize one trigger set.
-
-    ``root`` must be a fresh directory; several partition sizes share the
-    one ingested dataset via ``add_trigger_set``.
-    """
-    wrapper = BinaryFileWrapper(CRITEO_DTYPE)
-    storage = Storage(spark, os.path.join(root, "storage"), wrapper)
-    paths, days = generate_criteo_files(
-        os.path.join(root, "data"),
-        n_samples=n_samples,
-        samples_per_file=samples_per_file,
-    )
-    storage.ingest_files(paths, timestamps=days)
-    keys = np.arange(n_samples)
-    selector = _materialize_trigger(
-        root, keys, partition_size=partition_size, tag=f"p{partition_size}"
-    )
-    return WorkloadSetup(
-        "criteo_lite",
-        storage,
-        selector,
-        0,
-        paths,
-        n_samples,
+WORKLOADS = {
+    "criteo": Workload(
+        BinaryFileWrapper(CRITEO_DTYPE),
+        lambda d, n: generate_criteo_files(d, n_samples=n, samples_per_file=20_000),
         criteo_batch_parser,
-        batch_size,
-        gpu_step_seconds,
-    )
-
-
-def add_trigger_set(
-    spark: SparkSession, root: str, setup: WorkloadSetup, *, partition_size: int
-) -> WorkloadSetup:
-    """A second trigger set over the same storage at another partition size."""
-    selector = _materialize_trigger(
-        root, np.arange(setup.n_samples), partition_size=partition_size,
-        tag=f"p{partition_size}",
-    )
-    return dataclasses.replace(setup, selector=selector)
-
-
-def build_cloc_setup(
-    spark: SparkSession,
-    root: str,
-    *,
-    n_samples: int = 12_000,
-    partition_size: int = 1500,
-    batch_size: int = CLOC_BATCH,
-    gpu_step_seconds: float = CLOC_GPU_SECONDS,
-) -> WorkloadSetup:
-    """cloc-lite: one sample per file (+ label sidecar), one trigger."""
-    paths, years = generate_cloc_files(
-        os.path.join(root, "data"),
-        per_year=n_samples,
-        years=(2004,),
-        n_classes=32,
-        dim=16,
-    )
-    storage = Storage(
-        spark, os.path.join(root, "storage"), SingleSampleFileWrapper()
-    )
-    storage.ingest_files(paths, timestamps=years)
-    selector = _materialize_trigger(
-        root, np.arange(n_samples), partition_size=partition_size, tag="cloc"
-    )
-    return WorkloadSetup(
-        "cloc_lite",
-        storage,
-        selector,
-        0,
-        paths,
-        n_samples,
+        None,
+        CRITEO_BATCH,
+        CRITEO_GPU_SECONDS,
+        functools.partial(DlrmLite, seed=0),
+        partition_size=30_000,
+        modyn_config=dict(prefetched_partitions=2, parallel_prefetch=1, storage_threads=2),
+    ),
+    # one sample per file (+ label sidecar)
+    "cloc": Workload(
+        SingleSampleFileWrapper(),
+        lambda d, n: generate_cloc_files(d, per_year=n, years=(2004,), n_classes=32, dim=16),
         cloc_batch_parser,
-        batch_size,
-        gpu_step_seconds,
         make_decode_transform(CLOC_DECODE_BYTES_PER_SAMPLE),
-    )
+        CLOC_BATCH,
+        CLOC_GPU_SECONDS,
+        functools.partial(SoftmaxRegression, dim=16, n_classes=32, seed=0),
+        partition_size=1500,
+        modyn_config=dict(prefetched_partitions=2, parallel_prefetch=1, storage_threads=1),
+    ),
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class WorkloadSetup:
+    """One ingested workload and, once ``trigger_set`` made it, the
+    selector holding its one trigger set (trigger 0)."""
+
+    workload: Workload
+    root: str
+    storage: Storage
+    files: list[str]  # payload files, for the local baseline
+    keys: np.ndarray
+    selector: Selector | None = None
+
+    def trigger_set(self, partition_size: int) -> WorkloadSetup:
+        """This setup with a trigger set over all of its samples, in
+        partitions of ``partition_size``; the storage is shared."""
+        tag = f"p{partition_size}"
+        strategy = NewDataStrategy(
+            LocalMetadataBackend(os.path.join(self.root, f"meta_{tag}")),
+            reset_after_trigger=False,
+            partition_size=partition_size,
+        )
+        selector = Selector(
+            f"bench_{tag}", strategy, TriggerSampleStorage(os.path.join(self.root, f"tss_{tag}"))
+        )
+        n = len(self.keys)
+        selector.inform_data(self.keys, np.zeros(n), np.zeros(n))
+        selector.trigger()
+        return dataclasses.replace(self, selector=selector)
+
+
+def build_workload(spark: SparkSession, root: str, name: str, *, n_samples: int) -> WorkloadSetup:
+    """Generate ``n_samples`` of workload ``name`` under the fresh
+    directory ``root`` and ingest them into a new storage."""
+    workload = WORKLOADS[name]
+    paths, stamps = workload.generate(os.path.join(root, "data"), n_samples)
+    storage = Storage(spark, os.path.join(root, "storage"), workload.wrapper)
+    keys = storage.ingest_files(paths, timestamps=stamps)
+    return WorkloadSetup(workload, root, storage, paths, keys)
 
 
 # ------------------------------------------------------------ measurements
+def _train(setup: WorkloadSetup, dataset) -> float:
+    """Train a fresh model for one epoch over ``dataset``; samples/s."""
+    trainer = Trainer(
+        setup.workload.make_model(), lr=0.05, epochs=1,
+        gpu_step_seconds=setup.workload.gpu_step_seconds,
+    )
+    result = trainer.train(dataset)
+    assert result.num_samples == len(setup.keys)
+    return result.throughput
+
+
 def measure_modyn(
     setup: WorkloadSetup,
     *,
@@ -219,64 +198,51 @@ def measure_modyn(
     storage_threads: int,
 ) -> float:
     """End-to-end Modyn training throughput (samples/s) for one config."""
+    workload = setup.workload
     dataset = OnlineDataset(
         setup.storage,
         setup.selector,
-        setup.trigger_id,
+        0,
         OnlineDatasetConfig(
-            batch_size=setup.batch_size,
+            batch_size=workload.batch_size,
             num_workers=workers,
             prefetched_partitions=prefetched_partitions,
             parallel_prefetch_requests=parallel_prefetch,
             storage_threads=storage_threads,
         ),
-        batch_bytes_parser=setup.batch_parser,
-        transform=setup.transform,
+        batch_bytes_parser=workload.batch_parser,
+        transform=workload.transform,
     )
-    trainer = Trainer(
-        setup.make_model(), lr=0.05, epochs=1,
-        gpu_step_seconds=setup.gpu_step_seconds,
-    )
-    result = trainer.train(dataset)
-    assert result.num_samples == setup.n_samples
-    return result.throughput
+    return _train(setup, dataset)
 
 
 def measure_local(setup: WorkloadSetup, *, workers: int) -> float:
     """Baseline throughput: sequential whole-file reads, no selection."""
-    wrapper = setup.storage.file_wrapper
+    workload = setup.workload
 
     class _Adapter:
         """LocalDataset -> trainer Batch adapter (same training loop)."""
 
         def batches(self):
-            from repro.trainer.online_dataset import Batch
-
             inner = LocalDataset(
                 setup.files,
-                wrapper,
-                batch_size=setup.batch_size,
+                workload.wrapper,
+                batch_size=workload.batch_size,
                 num_workers=workers,
-                batch_bytes_parser=setup.batch_parser,
-                transform=setup.transform,
+                batch_bytes_parser=workload.batch_parser,
+                transform=workload.transform,
             )
             for payloads, labels in inner.batches():
                 n = len(labels)
                 yield Batch(payloads, labels, np.ones(n), np.arange(n))
 
-    trainer = Trainer(
-        setup.make_model(), lr=0.05, epochs=1,
-        gpu_step_seconds=setup.gpu_step_seconds,
-    )
-    result = trainer.train(_Adapter())
-    assert result.num_samples == setup.n_samples
-    return result.throughput
+    return _train(setup, _Adapter())
 
 
 # -------------------------------------------------------------- the tables
 #: (prefetched partitions, parallel prefetch requests) columns of Fig. 7;
 #: (0, -) is "no prefetching".
-PREFETCH_CONFIGS = [(0, 1), (1, 1), (2, 1), (6, 1), (6, 2)]
+PREFETCH_CONFIGS = ((0, 1), (1, 1), (2, 1), (6, 1), (6, 2))
 
 
 def criteo_grid(
@@ -284,41 +250,31 @@ def criteo_grid(
     root: str,
     *,
     n_samples: int = 120_000,
-    partition_sizes: tuple[int, int] = (6_000, 30_000),
+    partition_sizes: tuple[int, ...] = (6_000, 30_000),
     workers: tuple[int, ...] = (1, 4, 8, 16),
     storage_threads: tuple[int, ...] = (1, 2, 8),
-    prefetch_configs=None,
+    prefetch_configs=PREFETCH_CONFIGS,
 ) -> pd.DataFrame:
     """T1 (Fig. 7): the full Criteo throughput sweep as a tidy table."""
-    prefetch_configs = prefetch_configs or PREFETCH_CONFIGS
-    base = build_criteo_setup(
-        spark, root, n_samples=n_samples, partition_size=partition_sizes[0]
-    )
-    setups = {partition_sizes[0]: base}
-    for ps in partition_sizes[1:]:
-        setups[ps] = add_trigger_set(spark, root, base, partition_size=ps)
+    base = build_workload(spark, root, "criteo", n_samples=n_samples)
     rows = []
-    for ps, setup in setups.items():
-        for st in storage_threads:
-            for w in workers:
-                for pf, par in prefetch_configs:
-                    tput = measure_modyn(
-                        setup,
-                        workers=w,
-                        prefetched_partitions=pf,
-                        parallel_prefetch=par,
-                        storage_threads=st,
-                    )
-                    rows.append(
-                        {
-                            "partition_size": ps,
-                            "storage_threads": st,
-                            "workers": w,
-                            "prefetched_partitions": pf,
-                            "parallel_prefetch": par,
-                            "throughput": tput,
-                        }
-                    )
+    for ps in partition_sizes:
+        setup = base.trigger_set(ps)
+        for st, w, (pf, par) in itertools.product(storage_threads, workers, prefetch_configs):
+            tput = measure_modyn(
+                setup, workers=w, prefetched_partitions=pf, parallel_prefetch=par,
+                storage_threads=st,
+            )
+            rows.append(
+                {
+                    "partition_size": ps,
+                    "storage_threads": st,
+                    "workers": w,
+                    "prefetched_partitions": pf,
+                    "parallel_prefetch": par,
+                    "throughput": tput,
+                }
+            )
     return pd.DataFrame(rows)
 
 
@@ -329,22 +285,13 @@ def local_vs_modyn(
     workload: str = "criteo",
     n_samples: int = 120_000,
     workers: tuple[int, ...] = (1, 4, 8, 16),
-    best_config: dict | None = None,
 ) -> pd.DataFrame:
     """T2/T3 (Fig. 8): best Modyn config vs the local baseline per worker count."""
-    if workload == "criteo":
-        setup = build_criteo_setup(spark, root, n_samples=n_samples,
-                                   partition_size=30_000)
-        default_cfg = dict(prefetched_partitions=2, parallel_prefetch=1,
-                           storage_threads=2)
-    else:
-        setup = build_cloc_setup(spark, root, n_samples=n_samples)
-        default_cfg = dict(prefetched_partitions=2, parallel_prefetch=1,
-                           storage_threads=1)
-    cfg = best_config or default_cfg
+    setup = build_workload(spark, root, workload, n_samples=n_samples)
+    setup = setup.trigger_set(setup.workload.partition_size)
     rows = []
     for w in workers:
-        modyn = measure_modyn(setup, workers=w, **cfg)
+        modyn = measure_modyn(setup, workers=w, **setup.workload.modyn_config)
         local = measure_local(setup, workers=w)
         rows.append(
             {

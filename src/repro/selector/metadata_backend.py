@@ -39,7 +39,26 @@ _BUCKET_COLUMNS = (*_SEEN_COLUMNS, "trigger_id")
 
 
 class MetadataBackend(ABC):
-    """Persists samples seen by the selector, bucketed by trigger id."""
+    """Persists samples seen by the selector, bucketed by trigger id.
+
+    A backend records the (file, rows) of every file it commits to a
+    bucket, so reads touch only those files and ``count`` reads none.
+    """
+
+    def __init__(self, root: str, pipeline_id: str) -> None:
+        # Partition by pipeline first, then trigger — the paper's layout.
+        self.root = os.path.join(root, f"pipeline={pipeline_id}")
+        # trigger id -> (file, rows) of each file committed, in persist order
+        self._files: dict[int, list[tuple[str, int]]] = {}
+        self._lock = threading.Lock()
+        os.makedirs(self.root, exist_ok=True)
+
+    def _bucket(self, trigger_id: int) -> str:
+        return os.path.join(self.root, f"trigger_id={int(trigger_id)}")
+
+    def _committed(self, trigger_id: int) -> list[tuple[str, int]]:
+        with self._lock:
+            return list(self._files.get(int(trigger_id), ()))
 
     @abstractmethod
     def persist(
@@ -56,12 +75,16 @@ class MetadataBackend(ABC):
         """All seen samples of the given trigger buckets as a pandas frame
         with columns (sample_key, label, timestamp, trigger_id)."""
 
-    @abstractmethod
     def count(self, trigger_ids: Sequence[int]) -> int:
         """Number of seen samples across the given trigger buckets."""
+        with self._lock:
+            return sum(n for t in trigger_ids for _, n in self._files.get(int(t), ()))
 
     def reset(self, trigger_id: int) -> None:
         """Drop state of one trigger bucket (after reset_after_trigger)."""
+        with self._lock:
+            self._files.pop(int(trigger_id), None)
+            shutil.rmtree(self._bucket(trigger_id), ignore_errors=True)
 
 
 class SparkMetadataBackend(MetadataBackend):
@@ -77,19 +100,10 @@ class SparkMetadataBackend(MetadataBackend):
     """
 
     def __init__(self, spark: SparkSession, root: str, *, pipeline_id: str = "p0"):
+        super().__init__(root, pipeline_id)
         self.spark = spark.newSession()
         self.spark.conf.set("spark.sql.codegen.wholeStage", "false")
         self.spark.conf.set("spark.sql.codegen.factoryMode", "NO_CODEGEN")
-        # Partition by pipeline first, then trigger — the paper's layout.
-        self.root = os.path.join(root, f"pipeline={pipeline_id}")
-        # trigger id -> (path, rows) of each file this backend committed
-        # to the bucket: what ``df`` scans, and ``count`` without a job
-        self._files: dict[int, list[tuple[str, int]]] = {}
-        self._lock = threading.Lock()
-        os.makedirs(self.root, exist_ok=True)
-
-    def _bucket(self, trigger_id: int) -> str:
-        return os.path.join(self.root, f"trigger_id={int(trigger_id)}")
 
     def persist(self, trigger_id, keys, labels, timestamps) -> None:
         # Bulk append into the trigger's own physical partition — the
@@ -112,21 +126,11 @@ class SparkMetadataBackend(MetadataBackend):
         Buckets are read with the schema ``persist`` writes, so planning
         the scan runs no Spark job (no footer read to infer it).
         """
-        with self._lock:
-            files = [f for t in trigger_ids for f, _ in self._files.get(int(t), ())]
+        files = [path for t in trigger_ids for path, _ in self._committed(t)]
         return parquet.scan(self.spark, files, _BUCKET_COLUMNS, base=self.root)
 
     def get(self, trigger_ids: Sequence[int]) -> pd.DataFrame:
         return self.df(trigger_ids).toPandas()
-
-    def count(self, trigger_ids: Sequence[int]) -> int:
-        with self._lock:
-            return sum(n for t in trigger_ids for _, n in self._files.get(int(t), ()))
-
-    def reset(self, trigger_id: int) -> None:
-        with self._lock:
-            self._files.pop(int(trigger_id), None)
-        shutil.rmtree(self._bucket(trigger_id), ignore_errors=True)
 
 
 class LocalMetadataBackend(MetadataBackend):
@@ -140,15 +144,8 @@ class LocalMetadataBackend(MetadataBackend):
     """
 
     def __init__(self, root: str, *, pipeline_id: str = "p0", n_threads: int = 4):
-        self.root = os.path.join(root, f"pipeline={pipeline_id}")
+        super().__init__(root, pipeline_id)
         self.n_threads = max(1, int(n_threads))
-        # trigger id -> the bucket's chunks, in persist order
-        self._chunks: dict[int, list[records.Chunk]] = {}
-        self._lock = threading.Lock()
-        os.makedirs(self.root, exist_ok=True)
-
-    def _bucket(self, trigger_id: int) -> str:
-        return os.path.join(self.root, f"trigger_id={int(trigger_id)}")
 
     def persist(self, trigger_id, keys, labels, timestamps) -> None:
         if len(keys) == 0:
@@ -160,7 +157,7 @@ class LocalMetadataBackend(MetadataBackend):
         # held over the write: a batch is recorded, and so read, only
         # once all of its chunks are on disk
         with self._lock:
-            chunks = self._chunks.setdefault(int(trigger_id), [])
+            chunks = self._files.setdefault(int(trigger_id), [])
             chunks += records.write(
                 self._bucket(trigger_id), f"seen_{len(chunks):06d}", arr,
                 min(self.n_threads, len(arr)),
@@ -169,9 +166,7 @@ class LocalMetadataBackend(MetadataBackend):
     def get(self, trigger_ids: Sequence[int]) -> pd.DataFrame:
         frames = []
         for t in trigger_ids:
-            with self._lock:
-                chunks = list(self._chunks.get(int(t), ()))
-            arr = records.read(self._bucket(t), chunks, SEEN_DTYPE)
+            arr = records.read(self._bucket(t), self._committed(t), SEEN_DTYPE)
             frames.append(
                 pd.DataFrame(
                     {
@@ -189,12 +184,3 @@ class LocalMetadataBackend(MetadataBackend):
                 columns=["sample_key", "label", "timestamp", "trigger_id"]
             ).astype("int64")
         )
-
-    def count(self, trigger_ids: Sequence[int]) -> int:
-        with self._lock:
-            return sum(n for t in trigger_ids for _, n in self._chunks.get(int(t), ()))
-
-    def reset(self, trigger_id: int) -> None:
-        with self._lock:
-            self._chunks.pop(int(trigger_id), None)
-            shutil.rmtree(self._bucket(trigger_id), ignore_errors=True)

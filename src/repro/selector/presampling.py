@@ -132,20 +132,18 @@ class UniformRandomStrategy(PresamplingStrategy):
         **kw,
     ) -> None:
         super().__init__(backend, **kw)
+        if (fraction is None) == (max_samples is None):
+            raise ValueError("set exactly one of fraction / max_samples")
         self.fraction = fraction
         self.max_samples = max_samples
 
     def _select_keys(self, trigger_id: int):
-        fraction, max_samples = self.fraction, self.max_samples
-        if (fraction is None) == (max_samples is None):
-            raise ValueError("set exactly one of fraction / max_samples")
         scope = self.scope(trigger_id)
         total = self.backend.count(scope)
-        m = (
-            int(round(total * float(fraction)))
-            if fraction is not None
-            else min(int(max_samples), total)
-        )
+        if self.fraction is not None:
+            m = int(round(total * float(self.fraction)))
+        else:
+            m = min(int(self.max_samples), total)
         if isinstance(self.backend, SparkMetadataBackend):
             pdf = (
                 self.backend.df(scope)

@@ -6,8 +6,10 @@ function would only fail a traced benchmark run; here every hook is
 installed against the current ``src/repro`` and removed again, and the
 program must come back exactly as it was. The Probe's per-training checks
 must also pass on real trainings, so a change that breaks its accounting
-fails here rather than as failed operations of a benchmark run.
-``perfbench/`` is only read.
+fails here rather than as failed operations of a benchmark run. And the
+online workloads must train what the T1–T3 harness's workload table
+describes, so a benchmark run measures a harness cell. ``perfbench/`` is
+only read.
 """
 import importlib
 import os
@@ -16,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.experiments.throughput import WORKLOADS
 from repro.models import DlrmLite
 from repro.selector.downsampling import GradNormDownsampler
 from repro.selector.metadata_backend import LocalMetadataBackend
@@ -118,3 +121,30 @@ def test_probe_verifies_stb_and_online_trainings(perfbench, criteo_storage, tmp_
     probe.verify(out, probe.trainings)
     assert len(probe.trainings) == 2
     assert (out.attempted, out.failed) == (2, 0), out.problems
+
+
+@pytest.mark.parametrize("kind, name", [("criteo_online", "criteo"), ("cloc_online", "cloc")])
+def test_online_workload_matches_harness_table(perfbench, spark, tmp_path, kind, name):
+    _, _, workloads = perfbench
+    sizes = workloads.Sizes(
+        criteo_samples=2000, criteo_per_file=1000, criteo_partition=1000,
+        cloc_samples=40, cloc_partition=20,
+    )
+    files = workloads._generate_online(kind, str(tmp_path / "data"), 0, sizes)
+    w = workloads._setup_online(kind, spark, str(tmp_path / "setup"), files, sizes)
+    entry = WORKLOADS[name]
+    assert type(w.storage.file_wrapper) is type(entry.wrapper)
+    assert (w.batch_size, w.gpu_step_seconds) == (entry.batch_size, entry.gpu_step_seconds)
+    assert w.parser is entry.batch_parser
+    assert (w.transform is None) == (entry.transform is None)
+    model, table_model = w.make_model(), entry.make_model()
+    assert type(model) is type(table_model)
+    state, table_state = model.get_state(), table_model.get_state()
+    assert state.keys() == table_state.keys()
+    assert all(np.array_equal(state[k], table_state[k]) for k in state)
+    cfg = w.config
+    assert entry.modyn_config == {
+        "prefetched_partitions": cfg.prefetched_partitions,
+        "parallel_prefetch": cfg.parallel_prefetch_requests,
+        "storage_threads": cfg.storage_threads,
+    }

@@ -1,4 +1,6 @@
 """End-to-end pipeline tests (paper §3.4 data flow, §5.2 harness)."""
+import os
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,19 @@ class TestPipelineVariants:
         pipe = Pipeline(spark, cfg, cloc_storage, str(tmp_path / "wd"))
         with pytest.raises(TypeError, match="fractoin"):
             pipe.run_experiment(announce_batch_size=50)
+
+    def test_empty_presampling_config_rejected_at_build(self, spark, cloc_storage, tmp_path):
+        """Uniform sampling without a fraction or a sample count fails as
+        the selector is built, before any data is replayed."""
+        cfg = _cloc_config(
+            "empty",
+            selection={"name": "UniformRandomStrategy", "presampling_config": {}},
+            evaluation=None,
+        )
+        pipe = Pipeline(spark, cfg, cloc_storage, str(tmp_path / "wd"))
+        with pytest.raises(ValueError, match="exactly one"):
+            pipe.run_experiment(announce_batch_size=50)
+        assert not os.path.exists(tmp_path / "wd" / "models")
 
     def test_gradnorm_stb_pipeline(self, spark, cloc_storage, tmp_path):
         cfg = _cloc_config(

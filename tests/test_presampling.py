@@ -144,12 +144,10 @@ class TestUniformRandom:
         assert not np.array_equal(np.sort(k0), np.sort(k1))
 
     def test_config_validation(self, backend):
-        s_both = UniformRandomStrategy(backend, fraction=0.5, max_samples=5)
         with pytest.raises(ValueError, match="exactly one"):
-            _select_all(s_both, 0)
-        s_none = UniformRandomStrategy(backend)
+            UniformRandomStrategy(backend, fraction=0.5, max_samples=5)
         with pytest.raises(ValueError, match="exactly one"):
-            _select_all(s_none, 0)
+            UniformRandomStrategy(backend)
 
     def test_scope_spans_triggers_without_reset(self, backend):
         _seed_two_triggers(backend)
