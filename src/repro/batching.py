@@ -7,10 +7,13 @@ buffers (or file groups) into column chunks, cuts them into
 dataset's ``transform`` once per batch it emits — and hands them to one
 consumer, which takes them round-robin across workers (paper Fig. 4).
 
-``round_robin`` owns the threads of one epoch. Abandoning the generator,
-or any worker failing, sets a stop event that every blocking ``put`` /
-``get`` checks, so no thread outlives the epoch; the first worker error
-is raised in the consumer.
+``round_robin`` owns the threads of one stream, which is one pass over
+the data or, for ``OnlineDataset``, every pass of a training: a worker
+ends its share of a pass with ``PASS_END``. A worker's error reaches the
+consumer in the worker's turn, after what the worker emitted before it,
+so it fails the pass it belongs to. Abandoning the generator, or the
+consumer raising a worker's error, sets a stop event that every blocking
+``put`` / ``get`` checks, so no thread outlives the stream.
 """
 from __future__ import annotations
 
@@ -25,9 +28,20 @@ POLL_S = 0.05
 
 _DONE = object()  # end-of-worker sentinel
 
+#: emitted by a worker at the end of its share of one pass, and yielded
+#: by ``round_robin`` once every worker has ended that pass
+PASS_END = object()
+
+
+class _Failed:
+    """A worker's error, queued in its place among the worker's items."""
+
+    def __init__(self, error: BaseException) -> None:
+        self.error = error
+
 
 class Stopped(Exception):
-    """Raised in a worker thread once its epoch has been stopped."""
+    """Raised in a worker thread once its stream has been stopped."""
 
 
 def put_or_stop(q: "queue.Queue", item, stop: threading.Event) -> None:
@@ -108,23 +122,28 @@ def round_robin(
     one item per worker in turn, skipping workers that have finished.
 
     ``emit`` puts an item on the worker's queue of ``depth`` items and
-    raises ``Stopped`` once the epoch is stopped; workers pass ``stop``
-    to their own blocking waits. On exit — exhausted, closed, or failed —
-    the generator stops and joins every worker thread.
+    raises ``Stopped`` once the stream is stopped; workers pass ``stop``
+    to their own blocking waits. A worker that emits ``PASS_END`` is
+    skipped until every unfinished worker has ended the pass; then
+    ``PASS_END`` is yielded once and the next pass starts at worker 0.
+    On exit — exhausted, closed, or failed — the generator stops and
+    joins every worker thread.
     """
     stop = threading.Event()
     queues = [queue.Queue(maxsize=depth) for _ in workers]
-    errors: list[BaseException] = []
 
     def run(work, q: "queue.Queue") -> None:
         try:
             work(lambda item: put_or_stop(q, item, stop), stop)
-            put_or_stop(q, _DONE, stop)
+            end = _DONE
+        except Stopped:
+            return
+        except BaseException as e:  # raised by the consumer in this turn
+            end = _Failed(e)
+        try:
+            put_or_stop(q, end, stop)
         except Stopped:
             pass
-        except BaseException as e:  # first error cancels the epoch
-            errors.append(e)
-            stop.set()
 
     threads = [
         threading.Thread(target=run, args=(work, q), daemon=True)
@@ -135,14 +154,21 @@ def round_robin(
     try:
         live = list(queues)
         while live:
-            for q in list(live):
-                item = get_or_stop(q, stop)
-                if item is _DONE:
-                    live.remove(q)
-                else:
-                    yield item
-    except Stopped:
-        raise errors[0] from None
+            turn = list(live)  # the workers still in this pass
+            while turn:
+                for q in list(turn):
+                    item = q.get()
+                    if isinstance(item, _Failed):
+                        raise item.error
+                    if item is _DONE:
+                        live.remove(q)
+                        turn.remove(q)
+                    elif item is PASS_END:
+                        turn.remove(q)
+                    else:
+                        yield item
+            if live:
+                yield PASS_END
     finally:
         stop.set()
         for t in threads:

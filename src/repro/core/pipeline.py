@@ -171,6 +171,7 @@ class Pipeline:
                         storage_threads=tr.storage_threads,
                     ),
                     batch_bytes_parser=parser,
+                    epochs=tr.epochs,
                 )
                 result = trainer.train(dataset)
             train_results.append(result)

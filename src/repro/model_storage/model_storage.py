@@ -4,7 +4,10 @@ Stores each trigger's trained model under the pipeline's compression
 policy: a full snapshot every ``full_every`` triggers, weight deltas in
 between. Restoring trigger ``k`` walks back to the latest full snapshot
 and replays the delta chain forward — the video-encoding I/P-frame
-structure the paper describes.
+structure the paper describes. A delta is taken against the previous
+stored model, which the store keeps in memory instead of re-reading its
+chain, and deltas are exact, so every load returns the stored state bit
+for bit.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ class ModelStorage:
         self.incremental = WeightsDifferenceStrategy()
         self._catalog: dict[int, StoredModelInfo] = {}
         self._order: list[int] = []  # store order defines the delta chain
+        self._last: State | None = None  # the latest stored state: the next base
         self._lock = threading.Lock()
         os.makedirs(root, exist_ok=True)
 
@@ -51,13 +55,13 @@ class ModelStorage:
         with self._lock:
             if trigger_id in self._catalog:
                 raise ValueError(f"model for trigger {trigger_id} already stored")
-            pos = len(self._order)
-            prev_id = self._order[-1] if self._order else None
-            use_full = pos % self.full_every == 0 or prev_id is None
-            if not use_full:
-                base = self._load_locked(prev_id)
-                if set(base) != set(state):
-                    use_full = True  # architecture changed; delta impossible
+            state = {k: np.array(v) for k, v in state.items()}  # callers may reuse theirs
+            base = self._last
+            use_full = (
+                len(self._order) % self.full_every == 0
+                or base is None
+                or not self.incremental.applies(state, base)  # architecture changed
+            )
             if use_full:
                 data, kind = self.full.serialize(state), "full"
             else:
@@ -68,16 +72,26 @@ class ModelStorage:
             info = StoredModelInfo(trigger_id, kind, path, len(data))
             self._catalog[trigger_id] = info
             self._order.append(trigger_id)
+            self._last = state
             return info
 
     def _load_locked(self, trigger_id: int) -> State:
-        info = self._catalog[trigger_id]
-        with open(info.path, "rb") as f:
-            data = f.read()
-        if info.kind == "full":
-            return self.full.deserialize(data)
-        prev = self._order[self._order.index(trigger_id) - 1]
-        return self.incremental.deserialize(data, self._load_locked(prev))
+        """Replay the chain from the latest full snapshot at or before
+        ``trigger_id`` forward, one delta at a time."""
+        end = self._order.index(trigger_id)
+        start = end
+        while self._catalog[self._order[start]].kind != "full":
+            start -= 1
+        state: State = {}
+        for t in self._order[start : end + 1]:
+            info = self._catalog[t]
+            with open(info.path, "rb") as f:
+                data = f.read()
+            if info.kind == "full":
+                state = self.full.deserialize(data)
+            else:
+                state = self.incremental.deserialize(data, state)
+        return state
 
     def load(self, trigger_id: int) -> State:
         """Reconstruct a stored model's parameter state."""
@@ -95,3 +109,4 @@ class ModelStorage:
 
     def total_bytes(self) -> int:
         return sum(i.nbytes for i in self._catalog.values())
+

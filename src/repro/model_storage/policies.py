@@ -38,19 +38,44 @@ class FullModelStrategy:
         return _unpack(data)
 
 
+def _layout(state: State) -> dict[str, tuple[str, tuple[int, ...]]]:
+    """Each key's dtype and shape, in key order."""
+    arrays = {k: np.asarray(v) for k, v in state.items()}
+    return {k: (a.dtype.str, a.shape) for k, a in sorted(arrays.items())}
+
+
+def _bytes(a: np.ndarray) -> np.ndarray:
+    """The array's raw bytes, as a flat ``uint8`` view."""
+    return np.ascontiguousarray(a).reshape(-1).view(np.uint8)
+
+
 class WeightsDifferenceStrategy:
-    """Delta against a base state; deltas of similar models compress well."""
+    """Delta against a base state, under Modyn's ``xor`` difference
+    operator: each array's bytes XOR the base's. Unlike a float
+    subtraction it restores the state bit for bit, dtype included, and
+    similar models share sign, exponent and leading mantissa bits, so
+    their delta is mostly zero bytes and compresses well.
+
+    State and base must agree on keys, and per key on dtype and shape
+    (``applies``).
+    """
 
     name = "WeightsDifference"
 
+    @staticmethod
+    def applies(state: State, base: State) -> bool:
+        """Whether ``state`` can be stored as a delta against ``base``."""
+        return _layout(state) == _layout(base)
+
     def serialize(self, state: State, base: State) -> bytes:
-        if set(state) != set(base):
+        if not self.applies(state, base):
             raise ValueError(
-                f"state keys {sorted(state)} != base keys {sorted(base)}"
+                f"state keys, dtypes and shapes {_layout(state)} != base {_layout(base)}"
             )
-        delta = {k: state[k].astype(np.float64) - base[k] for k in state}
-        return _pack(delta)
+        return _pack({k: _bytes(state[k]) ^ _bytes(base[k]) for k in state})
 
     def deserialize(self, data: bytes, base: State) -> State:
-        delta = _unpack(data)
-        return {k: base[k] + delta[k] for k in delta}
+        return {
+            k: (_bytes(base[k]) ^ d).view(base[k].dtype).reshape(base[k].shape)
+            for k, d in _unpack(data).items()
+        }

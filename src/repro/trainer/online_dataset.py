@@ -20,6 +20,16 @@ partition as soon as its first send buffer arrives — it does not wait
 for the whole partition transfer, so batch latency does not depend on
 partition size (§4.2.1). With 0, a worker fetches a whole partition and
 then trains on it.
+
+A training's epochs run as one stream: told the pass count (``epochs``),
+the first ``batches()`` call starts one set of workers that go through
+every pass's partitions back to back, so each worker's prefetch window
+slides across the pass boundary and the next pass's first fetches
+overlap this pass's tail, instead of every epoch paying for thread
+start-up, an empty window and tear-down. Each ``batches()`` call still
+yields exactly one pass, with the same batches in the same order as a
+1-pass dataset; every pass fetches every partition again (nothing is
+cached across passes).
 """
 from __future__ import annotations
 
@@ -33,7 +43,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.batching import Rebatcher, get_or_stop, round_robin
+from repro.batching import PASS_END, Rebatcher, get_or_stop, round_robin
 from repro.selector.selector import Selector
 from repro.storage.payloads import Payloads
 from repro.storage.storage import SampleBuffer, Storage
@@ -85,6 +95,14 @@ class OnlineDataset:
     ``batch_bytes_parser`` turns one send buffer's ``Payloads`` into one
     batch array (``DataConfig.parser`` lifts a per-sample §3.5 parser
     into one); ``transform`` then runs once per emitted batch.
+
+    ``epochs`` is the number of ``batches()`` calls the training makes.
+    A caller cannot look ahead from one call to the next, so the dataset
+    must be told: the first call starts one stream of ``epochs`` passes,
+    and each call yields the next pass. The stream's threads are joined
+    when its last pass ends, when a pass is abandoned or fails, and when
+    the dataset is dropped between passes; a call after the last pass
+    starts a new stream.
     """
 
     def __init__(
@@ -96,13 +114,65 @@ class OnlineDataset:
         *,
         batch_bytes_parser: Callable[[Payloads], np.ndarray],
         transform: Callable[[np.ndarray], np.ndarray] | None = None,
+        epochs: int = 1,
     ) -> None:
+        if epochs < 1:
+            raise ValueError("epochs must be >= 1")
         self.storage = storage
         self.selector = selector
         self.trigger_id = trigger_id
         self.config = config
         self.batch_bytes_parser = batch_bytes_parser
         self.transform = transform
+        self.epochs = epochs
+        self._stream: Iterator | None = None  # between passes: the rest
+
+    def batches(self) -> Iterator[Batch]:
+        """One pass: its batches round-robin across workers (paper Fig. 4)."""
+        stream = self._stream if self._stream is not None else self._start()
+        self._stream = None
+        try:
+            for item in stream:
+                if item is PASS_END:
+                    self._stream = stream  # the next call yields the next pass
+                    return
+                yield item
+        finally:
+            if self._stream is not stream:
+                stream.close()  # abandoned: stop and join the threads
+
+    def _start(self) -> Iterator:
+        cfg = self.config
+        loader = _Loader(
+            self.storage, self.selector, self.trigger_id, cfg,
+            self.batch_bytes_parser, self.transform,
+        )
+        n_partitions = self.selector.get_num_partitions(self.trigger_id)
+        # "No prefetching" must mean fetch-on-demand: with a deep output
+        # queue the workers would run ahead of the consumer anyway, hiding
+        # the very stall the prefetched_partitions knob exists to remove.
+        depth = 1 if cfg.prefetched_partitions == 0 else QUEUE_DEPTH
+        return round_robin(
+            [
+                partial(loader._worker, w, n_partitions, self.epochs)
+                for w in range(cfg.num_workers)
+            ],
+            depth,
+        )
+
+
+@dataclass(frozen=True)
+class _Loader:
+    """The worker side of one ``OnlineDataset`` stream. Its threads hold
+    this, never the dataset, so a dataset dropped between passes is
+    freed at once and closing its stream stops them."""
+
+    storage: Storage
+    selector: Selector
+    trigger_id: int
+    config: OnlineDatasetConfig
+    batch_bytes_parser: Callable[[Payloads], np.ndarray]
+    transform: Callable[[np.ndarray], np.ndarray] | None
 
     # ------------------------------------------------------------ fetching
     def _fetch_partition(
@@ -156,6 +226,7 @@ class OnlineDataset:
         self,
         worker_id: int,
         n_partitions: int,
+        passes: int,
         emit: Callable[[Batch], None],
         stop: threading.Event,
     ) -> None:
@@ -165,38 +236,30 @@ class OnlineDataset:
         closed = threading.Event()  # this worker is done with its fetches
         pool = ThreadPoolExecutor(cfg.parallel_prefetch_requests)
         window: deque["queue.Queue"] = deque()  # streams of started fetches
+        n = passes * n_partitions  # the stream's partitions, pass after pass
         try:
-            for p in range(n_partitions):
+            for i in range(n):
                 # Start every fetch up to `pf` partitions ahead of the one
-                # drained next: a buffer slot frees when its drain starts.
-                for q in range(p + len(window), min(p + pf + 1, n_partitions)):
+                # drained next, across pass boundaries: a buffer slot
+                # frees when its drain starts.
+                for j in range(i + len(window), min(i + pf + 1, n)):
                     stream: "queue.Queue" = queue.Queue()
+                    p = j % n_partitions
                     if pf:  # a fetch's error reaches the drain on its stream
-                        pool.submit(self._fetch_partition, q, worker_id, stream, closed)
+                        pool.submit(self._fetch_partition, p, worker_id, stream, closed)
                     else:  # on demand: fetch the whole partition, then train
-                        self._fetch_partition(q, worker_id, stream, stop)
+                        self._fetch_partition(p, worker_id, stream, stop)
                     window.append(stream)
                 self._drain(window.popleft(), rebatch, emit, stop)
+                if (i + 1) % n_partitions == 0:  # a pass ends here
+                    tail = rebatch.flush()
+                    if tail is not None:
+                        emit(Batch(*tail))
+                    if i + 1 < n:
+                        emit(PASS_END)
         finally:
             closed.set()
             pool.shutdown(cancel_futures=True)
-        tail = rebatch.flush()
-        if tail is not None:
-            emit(Batch(*tail))
-
-    # ------------------------------------------------------------ consumer
-    def batches(self) -> Iterator[Batch]:
-        """Round-robin batches across all workers (paper Fig. 4)."""
-        cfg = self.config
-        n_partitions = self.selector.get_num_partitions(self.trigger_id)
-        # "No prefetching" must mean fetch-on-demand: with a deep output
-        # queue the workers would run ahead of the consumer anyway, hiding
-        # the very stall the prefetched_partitions knob exists to remove.
-        depth = 1 if cfg.prefetched_partitions == 0 else QUEUE_DEPTH
-        yield from round_robin(
-            [partial(self._worker, w, n_partitions) for w in range(cfg.num_workers)],
-            depth,
-        )
 
 
 class InMemoryDataset:

@@ -3,7 +3,10 @@
 Both datasets run their workers through ``repro.batching.round_robin``.
 Closing the batch generator after one batch, a parser raising in one
 worker, or a storage lookup raising under one partition fetch, must bring
-``threading.active_count()`` back to where it was before the epoch.
+``threading.active_count()`` back to where it was before the epoch. An
+``OnlineDataset`` told several passes keeps one stream running between
+them; abandoning a later pass, a later pass failing, or dropping the
+dataset between passes must stop that stream's threads too.
 """
 import threading
 import time
@@ -87,9 +90,13 @@ def _failing_parser(on_call: int):
     return _failing_on(on_call, criteo_batch_parser, "parser")
 
 
-def _online(storage, selector, parser, overrides):
+def _online(storage, selector, parser, overrides, epochs=1):
     cfg = OnlineDatasetConfig(batch_size=16, **overrides)
-    return OnlineDataset(storage, selector, 0, cfg, batch_bytes_parser=parser)
+    return OnlineDataset(storage, selector, 0, cfg, batch_bytes_parser=parser, epochs=epochs)
+
+
+def _drain_pass(ds) -> int:
+    return sum(len(b) for b in ds.batches())
 
 
 def _local(files, parser):
@@ -125,6 +132,50 @@ class TestOnlineDataset:
         with pytest.raises(RuntimeError, match=f"{failing} failed"):
             for _ in ds.batches():
                 pass
+        assert _settled(baseline) <= baseline
+
+
+    @pytest.mark.parametrize("overrides", ONLINE_CONFIGS)
+    def test_abandoned_second_pass_stops_the_stream(
+        self, criteo_storage, selector, baseline, overrides
+    ):
+        ds = _online(criteo_storage, selector, criteo_batch_parser, overrides, epochs=3)
+        assert _drain_pass(ds) == CRITEO_N
+        batches = ds.batches()
+        assert len(next(batches)) == 16
+        batches.close()
+        assert _settled(baseline) <= baseline
+
+    @pytest.mark.parametrize("overrides", ONLINE_CONFIGS)
+    def test_failed_second_pass_stops_the_stream(
+        self, criteo_storage, selector, baseline, monkeypatch, overrides
+    ):
+        # the first lookup of pass 2 fails: its fetch may start while
+        # pass 1 drains, but the error belongs to pass 2 and is raised there
+        lookup, lock, seen = criteo_storage.lookup, threading.Lock(), set()
+
+        def failing_on_repeat(keys):
+            with lock:
+                again = keys.tobytes() in seen
+                seen.add(keys.tobytes())
+            if again:
+                raise RuntimeError("lookup failed")
+            return lookup(keys)
+
+        monkeypatch.setattr(criteo_storage, "lookup", failing_on_repeat)
+        ds = _online(criteo_storage, selector, criteo_batch_parser, overrides, epochs=3)
+        assert _drain_pass(ds) == CRITEO_N
+        with pytest.raises(RuntimeError, match="lookup failed"):
+            _drain_pass(ds)
+        assert _settled(baseline) <= baseline
+
+    @pytest.mark.parametrize("overrides", ONLINE_CONFIGS)
+    def test_dataset_dropped_between_passes_stops_the_stream(
+        self, criteo_storage, selector, baseline, overrides
+    ):
+        ds = _online(criteo_storage, selector, criteo_batch_parser, overrides, epochs=3)
+        assert _drain_pass(ds) == CRITEO_N
+        del ds  # no cycle holds it: the suspended stream closes at once
         assert _settled(baseline) <= baseline
 
 

@@ -28,6 +28,25 @@ class TestStrategies:
         back = s.deserialize(s.serialize(new, base), base)
         assert np.allclose(back["W"], new["W"]) and np.allclose(back["b"], new["b"])
 
+    def test_delta_restores_bits_and_dtype(self):
+        # unrelated float64 states: base + (new - base) misses new by an
+        # ulp in about a third of the values; the xor delta never does
+        s = WeightsDifferenceStrategy()
+        g = np.random.default_rng(0)
+        base = {"w": g.standard_normal(1000), "n": np.arange(6, dtype=np.int32),
+                "h": g.standard_normal((3, 2)).astype(np.float32)}
+        new = {"w": g.standard_normal(1000), "n": np.arange(6, dtype=np.int32) * 7,
+               "h": g.standard_normal((3, 2)).astype(np.float32)}
+        back = s.deserialize(s.serialize(new, base), base)
+        for k, v in new.items():
+            assert (back[k].dtype, back[k].shape) == (v.dtype, v.shape)
+            assert back[k].tobytes() == v.tobytes()
+
+    def test_delta_layout_mismatch_rejected(self):
+        s = WeightsDifferenceStrategy()
+        with pytest.raises(ValueError, match="base"):
+            s.serialize({"W": np.zeros(2, np.float32)}, {"W": np.zeros(2)})
+
     def test_delta_key_mismatch_rejected(self):
         s = WeightsDifferenceStrategy()
         with pytest.raises(ValueError, match="keys"):
@@ -68,6 +87,33 @@ class TestModelStorage:
         for i in range(3):
             ms.store(i, _state(i))
         assert all(ms.info(i).kind == "full" for i in range(3))
+        for i in range(3):  # each file is the state's full snapshot, nothing else
+            with open(ms.info(i).path, "rb") as f:
+                assert f.read() == FullModelStrategy().serialize(_state(i))
+
+    def test_long_delta_chain(self, tmp_path):
+        # one full snapshot, then 1,100 deltas: a load replays the chain
+        # without recursing, and returns each stored state bit for bit
+        ms = ModelStorage(str(tmp_path), full_every=10_000)
+        g = np.random.default_rng(0)
+        states = [{"w": g.standard_normal(4)} for _ in range(1101)]
+        for i, st in enumerate(states):
+            ms.store(i, st)
+        assert [ms.info(i).kind for i in (0, 1, 1100)] == ["full", "delta", "delta"]
+        for i in (0, 1, 550, 990, 1100):
+            back = ms.load(i)
+            assert back["w"].dtype == states[i]["w"].dtype
+            assert back["w"].tobytes() == states[i]["w"].tobytes()
+
+    def test_stored_state_is_copied(self, tmp_path):
+        # the next delta's base is what was stored, not the caller's array
+        ms = ModelStorage(str(tmp_path), full_every=10)
+        st = _state(0)
+        ms.store(0, st)
+        st["W"] += 1.0
+        ms.store(1, _state(1))
+        assert np.array_equal(ms.load(1)["W"], _state(1)["W"])
+        assert np.array_equal(ms.load(0)["W"], _state(0)["W"])
 
     def test_duplicate_trigger_rejected(self, tmp_path):
         ms = ModelStorage(str(tmp_path))
@@ -87,6 +133,10 @@ class TestModelStorage:
         info = ms.store(1, new_arch)
         assert info.kind == "full"
         assert np.allclose(ms.load(1)["extra"], 1.0)
+        # same keys, new dtype or shape: no delta either
+        assert ms.store(2, {k: v.astype(np.float32) for k, v in new_arch.items()}).kind == "full"
+        assert ms.store(3, {"W": np.zeros((3, 4)), "b": np.zeros(3), "extra": np.ones(2)}).kind == "full"
+        assert ms.store(4, {"W": np.ones((3, 4)), "b": np.zeros(3), "extra": np.ones(2)}).kind == "delta"
 
     def test_catalog_and_bytes(self, tmp_path):
         ms = ModelStorage(str(tmp_path), full_every=2)

@@ -17,6 +17,7 @@ from repro.selector.trigger_sample_storage import TriggerSampleStorage
 from repro.storage.storage import Storage
 from repro.synth_data import criteo_batch_parser
 from repro.trainer import OnlineDataset, OnlineDatasetConfig
+from repro.trainer.online_dataset import _Loader
 from tests.conftest import CRITEO_N
 
 
@@ -78,6 +79,65 @@ class TestExactlyOnceDelivery:
         k1, _, _, _ = _collect(ds)
         k2, _, _, _ = _collect(ds)  # batches() must be re-entrant (epochs)
         assert sorted(k1.tolist()) == sorted(k2.tolist())
+
+
+class TestPasses:
+    """A dataset told ``epochs`` streams them as one: each ``batches()``
+    call is one pass, equal to a 1-pass dataset's epoch."""
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_each_pass_delivers_every_sample_once(self, criteo_storage, selector, overrides):
+        cfg = OnlineDatasetConfig(batch_size=256, **overrides)
+        ds = OnlineDataset(
+            criteo_storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser,
+            epochs=3,
+        )
+        for _ in range(3):
+            keys, weights, _, _ = _collect(ds)
+            assert sorted(keys.tolist()) == list(range(CRITEO_N))
+            assert np.allclose(weights, 1.0)
+
+    # several storage threads deliver a partition's send buffers in
+    # completion order, so only these configurations fix the batch order
+    @pytest.mark.parametrize(
+        "overrides", [c for c in CONFIGS if c.get("storage_threads", 1) == 1]
+    )
+    def test_each_pass_equals_a_one_pass_epoch(self, criteo_storage, selector, overrides):
+        cfg = OnlineDatasetConfig(batch_size=200, **overrides)
+
+        def dataset(epochs):
+            return OnlineDataset(
+                criteo_storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser,
+                epochs=epochs,
+            )
+
+        def batches(ds):
+            return [
+                (b.keys.tolist(), b.weights.tolist(), b.payloads.tobytes())
+                for b in ds.batches()
+            ]
+
+        want = batches(dataset(1))
+        ds = dataset(3)
+        for _ in range(3):
+            assert batches(ds) == want
+
+    def test_call_after_last_pass_starts_a_new_stream(self, criteo_storage, selector):
+        cfg = OnlineDatasetConfig(batch_size=512, num_workers=2, prefetched_partitions=1)
+        ds = OnlineDataset(
+            criteo_storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser,
+            epochs=2,
+        )
+        for _ in range(3):
+            keys, _, _, _ = _collect(ds)
+            assert sorted(keys.tolist()) == list(range(CRITEO_N))
+
+    def test_invalid_epochs_rejected(self, criteo_storage, selector):
+        with pytest.raises(ValueError):
+            OnlineDataset(
+                criteo_storage, selector, 0, OnlineDatasetConfig(batch_size=8),
+                batch_bytes_parser=criteo_batch_parser, epochs=0,
+            )
 
 
 class TestBatching:
@@ -196,7 +256,9 @@ class TestPrefetchWindow:
     """One worker keeps at most ``prefetched_partitions`` fetches ahead of
     the partition it drains, and at most ``parallel_prefetch_requests``
     of them in flight; with no prefetching it fetches a partition only
-    once the previous one is drained whole."""
+    once the previous one is drained whole. Over several passes the
+    window slides across each pass boundary: the next pass's first fetch
+    starts while this pass's last partition drains."""
 
     @pytest.fixture(scope="class")
     def window_selector(self, tmp_path_factory):
@@ -214,62 +276,80 @@ class TestPrefetchWindow:
     def test_fetches_stay_within_the_window(
         self, criteo_storage, window_selector, monkeypatch, pf, par
     ):
-        n_partitions = window_selector.get_num_partitions(0)
-        assert n_partitions >= 8
-        cfg = OnlineDatasetConfig(
-            batch_size=64, prefetched_partitions=pf, parallel_prefetch_requests=par
-        )
-        ds = OnlineDataset(
-            criteo_storage, window_selector, 0, cfg, batch_bytes_parser=criteo_batch_parser
-        )
-        lock = threading.Lock()
-        events = []  # ("fetch", partition) | ("drain",) | ("drained",)
-        in_flight, most_in_flight = 0, 0
-        get_worker_samples = window_selector.get_worker_samples
-        retrieve_stream = criteo_storage.retrieve_stream
-        drain = ds._drain
+        _check_window(criteo_storage, window_selector, monkeypatch, pf, par, epochs=1)
 
-        def recording_get_worker_samples(trigger_id, partition, *args):
-            nonlocal in_flight, most_in_flight
+    @pytest.mark.parametrize("pf,par", WINDOW_CONFIGS)
+    def test_window_slides_across_passes(
+        self, criteo_storage, window_selector, monkeypatch, pf, par
+    ):
+        _check_window(criteo_storage, window_selector, monkeypatch, pf, par, epochs=3)
+
+
+def _check_window(storage, selector, monkeypatch, pf, par, *, epochs):
+    """Record fetch starts and drains over ``epochs`` passes of one
+    worker; fetch ``i`` of the stream (pass ``i // n``, partition
+    ``i % n``) may start only once drain ``i - pf`` has begun."""
+    n_partitions = selector.get_num_partitions(0)
+    assert n_partitions >= 8
+    cfg = OnlineDatasetConfig(
+        batch_size=64, prefetched_partitions=pf, parallel_prefetch_requests=par
+    )
+    ds = OnlineDataset(
+        storage, selector, 0, cfg, batch_bytes_parser=criteo_batch_parser, epochs=epochs
+    )
+    lock = threading.Lock()
+    events = []  # ("fetch", partition) | ("drain",) | ("drained",)
+    in_flight, most_in_flight = 0, 0
+    get_worker_samples = selector.get_worker_samples
+    retrieve_stream = storage.retrieve_stream
+    drain = _Loader._drain
+
+    def recording_get_worker_samples(trigger_id, partition, *args):
+        nonlocal in_flight, most_in_flight
+        with lock:
+            events.append(("fetch", partition))
+            in_flight += 1
+            most_in_flight = max(most_in_flight, in_flight)
+        return get_worker_samples(trigger_id, partition, *args)
+
+    def recording_retrieve_stream(keys, **kwargs):
+        nonlocal in_flight
+        try:
+            yield from retrieve_stream(keys, **kwargs)
+        finally:
             with lock:
-                events.append(("fetch", partition))
-                in_flight += 1
-                most_in_flight = max(most_in_flight, in_flight)
-            return get_worker_samples(trigger_id, partition, *args)
+                in_flight -= 1
 
-        def recording_retrieve_stream(keys, **kwargs):
-            nonlocal in_flight
-            try:
-                yield from retrieve_stream(keys, **kwargs)
-            finally:
-                with lock:
-                    in_flight -= 1
+    def recording_drain(*args):
+        # the fetches started so far get time to begin, so one that
+        # started a partition too early is recorded before this drain
+        time.sleep(0.03)
+        with lock:
+            events.append(("drain",))
+        drain(*args)
+        with lock:
+            events.append(("drained",))
 
-        def recording_drain(*args):
-            # the fetches started so far get time to begin, so one that
-            # started a partition too early is recorded before this drain
-            time.sleep(0.03)
-            with lock:
-                events.append(("drain",))
-            drain(*args)
-            with lock:
-                events.append(("drained",))
-
-        monkeypatch.setattr(
-            window_selector, "get_worker_samples", recording_get_worker_samples
-        )
-        monkeypatch.setattr(criteo_storage, "retrieve_stream", recording_retrieve_stream)
-        monkeypatch.setattr(ds, "_drain", recording_drain)
+    monkeypatch.setattr(selector, "get_worker_samples", recording_get_worker_samples)
+    monkeypatch.setattr(storage, "retrieve_stream", recording_retrieve_stream)
+    monkeypatch.setattr(_Loader, "_drain", recording_drain)
+    for _ in range(epochs):
         keys, _, _, _ = _collect(ds)
-
         assert sorted(keys.tolist()) == list(range(CRITEO_N))
-        fetched = [e[1] for e in events if e[0] == "fetch"]
-        assert sorted(fetched) == list(range(n_partitions))
-        for i, event in enumerate(events):
-            if event[0] != "fetch":
-                continue
-            before = [e[0] for e in events[:i]]
-            assert before.count("drain") >= event[1] - pf
-            if pf == 0:
-                assert before.count("drained") >= event[1]
-        assert most_in_flight <= par
+
+    fetched = [e[1] for e in events if e[0] == "fetch"]
+    assert sorted(fetched) == sorted(list(range(n_partitions)) * epochs)
+    seen = [0] * n_partitions  # earlier fetches of each partition
+    for i, event in enumerate(events):
+        if event[0] != "fetch":
+            continue
+        p = event[1]
+        at = seen[p] * n_partitions + p  # the fetch's place in the stream
+        seen[p] += 1
+        before = [e[0] for e in events[:i]]
+        assert before.count("drain") >= at - pf
+        if pf == 0:
+            assert before.count("drained") >= at
+        elif at == n_partitions:  # the next pass's first fetch overlaps this one
+            assert before.count("drained") < at
+    assert most_in_flight <= par

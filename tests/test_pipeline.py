@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.batching import round_robin
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import Pipeline
 from repro.evaluator import Evaluator
@@ -11,6 +12,7 @@ from repro.experiments.selection import build_cloc_stream, run_one_pipeline, yea
 from repro.model_storage.model_storage import ModelStorage
 from repro.storage.storage import Storage
 from repro.synth_data import CLOC_YEARS
+from repro.trainer import online_dataset
 from tests.conftest import (
     CLOC_CLASSES,
     CLOC_DIM,
@@ -280,6 +282,25 @@ class TestPipelineVariants:
         # 180 samples / 45 per trigger = 4 triggers, nothing left over
         assert result.num_triggers == 4
         assert all(i.num_samples == 45 for i in result.trigger_infos)
+
+    def test_one_dataloader_stream_per_training(
+        self, spark, cloc_storage, tmp_path, monkeypatch
+    ):
+        # the workers of a 3-epoch training start once and stream every
+        # epoch; a stream per epoch would pay their start-up each time
+        streams = []
+
+        def counting_round_robin(workers, depth):
+            streams.append(len(workers))
+            return round_robin(workers, depth)
+
+        monkeypatch.setattr(online_dataset, "round_robin", counting_round_robin)
+        cfg = _cloc_config("stream", training={"epochs": 3}, evaluation=None)
+        pipe = Pipeline(spark, cfg, cloc_storage, str(tmp_path / "wd"))
+        result = pipe.run_experiment(announce_batch_size=50)
+        assert result.num_triggers == len(CLOC_YEARS_SMALL)
+        assert all(r.num_samples == 3 * CLOC_PER_YEAR for r in result.train_results)
+        assert streams == [2] * result.num_triggers
 
     def test_criteo_pipeline_with_dlrm(self, spark, criteo_storage, tmp_path):
         cfg = PipelineConfig.from_dict(
