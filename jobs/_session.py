@@ -3,9 +3,11 @@
 Jobs run outside pytest, from a checkout: importing this module puts the
 checkout's ``src`` on ``sys.path`` and at the front of ``PYTHONPATH``,
 which Spark's Python workers inherit (StB scoring's ``mapInPandas``
-imports ``repro`` there). The local session has the settings of the test
-fixture in ``conftest.py``; the driver gets ``SPARK_DRIVER_MEM``, or else
-half of MemTotal clamped to 2-8 GiB, as perfbench sizes it.
+imports ``repro`` there), and ``PYSPARK_SUBMIT_ARGS`` is set for the JVM
+launch. The root ``conftest.py`` imports this module for the same launch
+settings; the local session has the settings of its test fixture, but
+16 shuffle partitions. The driver gets ``driver_memory()``, as perfbench
+sizes it.
 """
 import os
 import sys
@@ -17,7 +19,9 @@ _prior = os.environ.get("PYTHONPATH")
 os.environ["PYTHONPATH"] = SRC + (os.pathsep + _prior if _prior else "")
 
 
-def _driver_memory() -> str:
+def driver_memory() -> str:
+    """``SPARK_DRIVER_MEM``, else half of MemTotal clamped to 2-8 GiB: the
+    rule of the tier-1 command and perfbench, shared by the test session."""
     if mem := os.environ.get("SPARK_DRIVER_MEM"):
         return mem
     try:
@@ -33,7 +37,7 @@ def _driver_memory() -> str:
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {_driver_memory()} "
+    f"--driver-memory {driver_memory()} "
     "--conf spark.driver.host=127.0.0.1 "
     "--conf spark.ui.enabled=false "
     "pyspark-shell",

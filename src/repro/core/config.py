@@ -17,6 +17,7 @@ import yaml
 
 from repro import synth_data
 from repro.storage.payloads import Payloads
+from repro.trainer.online_dataset import OnlineDatasetConfig
 
 #: Built-in batch parsers selectable by name in the data section.
 NAMED_PARSERS: dict[str, Callable[[Payloads], np.ndarray]] = {
@@ -108,6 +109,21 @@ class TrainingConfig:
     gpu_step_seconds: float = 0.0  # simulated accelerator time per batch
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        self.dataset_config()  # checks the data-path knobs
+
+    def dataset_config(self) -> OnlineDatasetConfig:
+        """The OnlineDataset's knobs, checked where they are built."""
+        return OnlineDatasetConfig(
+            batch_size=self.batch_size,
+            num_workers=self.dataloader_workers,
+            prefetched_partitions=self.prefetched_partitions,
+            parallel_prefetch_requests=self.parallel_prefetch_requests,
+            storage_threads=self.storage_threads,
+        )
+
 
 @dataclass
 class ModelStorageConfig:
@@ -142,8 +158,6 @@ class PipelineConfig:
         ds = self.selection.downsampling_config
         if ds is not None and ds.mode not in ("BtS", "StB"):
             raise ValueError(f"unknown downsampling mode {ds.mode!r}")
-        if self.training.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.selection.partition_size < 1:
             raise ValueError("partition_size must be >= 1")
 

@@ -25,7 +25,7 @@ from repro.selector.selector import Selector, TriggerSetInfo
 from repro.selector.trigger_sample_storage import TriggerSampleStorage
 from repro.storage.storage import Storage
 from repro.supervisor.supervisor import Supervisor
-from repro.trainer.online_dataset import OnlineDataset, OnlineDatasetConfig
+from repro.trainer.online_dataset import OnlineDataset
 from repro.trainer.trainer import Trainer, TrainResult
 
 # Side-effect imports: populate the registries with the built-ins.
@@ -163,13 +163,7 @@ class Pipeline:
                     self.storage,
                     selector,
                     info.trigger_id,
-                    OnlineDatasetConfig(
-                        batch_size=tr.batch_size,
-                        num_workers=tr.dataloader_workers,
-                        prefetched_partitions=tr.prefetched_partitions,
-                        parallel_prefetch_requests=tr.parallel_prefetch_requests,
-                        storage_threads=tr.storage_threads,
-                    ),
+                    tr.dataset_config(),
                     batch_bytes_parser=parser,
                     epochs=tr.epochs,
                 )

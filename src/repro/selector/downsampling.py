@@ -48,11 +48,7 @@ class Downsampler(ABC):
         """Non-negative importance score per sample."""
 
     def sample(
-        self,
-        scores: np.ndarray,
-        *,
-        rng: np.random.Generator,
-        n_keep: int | None = None,
+        self, scores: np.ndarray, *, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """(indices, importance weights) of the kept subset.
 
@@ -64,8 +60,7 @@ class Downsampler(ABC):
         n = len(scores)
         if n == 0:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        m = n_keep if n_keep is not None else max(1, int(round(n * self.ratio)))
-        m = min(m, n)
+        m = max(1, int(round(n * self.ratio)))
         s = np.clip(np.asarray(scores, np.float64), 0, None) + 1e-12
         p = s / s.sum()
         idx = rng.choice(n, size=m, replace=True, p=p)

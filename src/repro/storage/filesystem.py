@@ -42,10 +42,6 @@ class FilesystemWrapper(ABC):
     def size(self, path: str) -> int:
         """Size of ``path`` in bytes."""
 
-    @abstractmethod
-    def exists(self, path: str) -> bool:
-        """Whether ``path`` exists."""
-
 
 class LocalFilesystemWrapper(FilesystemWrapper):
     """Local-disk implementation; reads are positioned, not whole-file loads.
@@ -95,6 +91,3 @@ class LocalFilesystemWrapper(FilesystemWrapper):
 
     def size(self, path: str) -> int:
         return os.path.getsize(path)
-
-    def exists(self, path: str) -> bool:
-        return os.path.exists(path)

@@ -5,13 +5,16 @@ Sample *payloads* live in files (via a ``FileWrapper``); sample *metadata*
 registry queried through Spark SQL — the stand-in for the paper's
 Postgres database (see DESIGN.md).
 
-Retrieval follows the paper's Figure 6: an incoming list of keys is split
-into ``storage_threads`` equal parts; each part runs its *own* metadata
-lookup, sorts the hits by source file and cuts them into
+Retrieval follows the paper's Figure 6: the positions of an incoming key
+list are split into ``storage_threads`` equal runs; each run does its
+*own* metadata lookup, sorts the hits by source file and cuts them into
 ``send_buffer_size`` slices, and emits each slice as a send buffer as
 soon as one ``FileWrapper.get_samples_of_files`` call has read its
 payloads (one call per buffer rather than per file: for one-sample
-files a per-file call's fixed cost is most of the read).
+files a per-file call's fixed cost is most of the read). A buffer is in
+file order, so it carries each sample's position in the request
+(``SampleBuffer.rows``); callers pick per-request values such as
+weights with it, and a key requested twice is two rows.
 All payload I/O goes through one bounded process-global thread pool,
 which is what makes "too many parallel requests overload the system"
 reproducible here.
@@ -37,6 +40,12 @@ Two metadata paths, by design (see DESIGN.md):
   ``base + per_key * n`` that sleeps (releasing the GIL, like a real
   network round-trip) — preserving the paper's property that metadata
   query time scales with the number of requested keys.
+
+All metadata state is one frozen snapshot (``_Index``: the per-key
+columns, the file paths, and each ingest's first key and registry
+file). An ingest builds the next snapshot and publishes it with one
+attribute store after its registry append, so every reader takes the
+snapshot once, without a lock, and sees a committed state whole.
 """
 from __future__ import annotations
 
@@ -78,22 +87,53 @@ _REGISTRY_COLUMNS = ("sample_key", "file_id", "idx", "label", "timestamp")
 _REGISTRY_ARROW = parquet.arrow_schema(_REGISTRY_COLUMNS)
 
 
-def _known(keys: np.ndarray, n: int) -> np.ndarray:
-    """``keys`` as int64; ``KeyError`` unless every key is in ``[0, n)``."""
-    keys = np.asarray(keys, np.int64)
-    if len(keys) and (keys.min() < 0 or keys.max() >= n):
-        bad = keys[(keys < 0) | (keys >= n)]
-        raise KeyError(f"unknown sample keys (first few): {bad[:5].tolist()}")
-    return keys
+_EMPTY = np.empty(0, np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class _Index:
+    """One published snapshot of the storage's metadata.
+
+    Per sample key (keys are dense, so position == key): its file id,
+    index in that file, label and timestamp. ``paths[f]`` is the path of
+    file id ``f``; ``ingest_starts[i]`` and ``ingest_files[i]`` are the
+    first key and the registry file of committed ingest ``i``. An ingest
+    builds a new snapshot and publishes it with one attribute store, so
+    a reader that takes ``Storage._ix`` once sees one consistent state
+    without a lock.
+    """
+
+    file_id: np.ndarray
+    idx: np.ndarray
+    label: np.ndarray
+    ts: np.ndarray
+    paths: tuple[str, ...]
+    ingest_starts: tuple[int, ...]
+    ingest_files: tuple[str, ...]
+
+    def known(self, keys: np.ndarray) -> np.ndarray:
+        """``keys`` as int64; ``KeyError`` unless every key is in the index."""
+        keys = np.asarray(keys, np.int64)
+        n = len(self.file_id)
+        if len(keys) and (keys.min() < 0 or keys.max() >= n):
+            bad = keys[(keys < 0) | (keys >= n)]
+            raise KeyError(f"unknown sample keys (first few): {bad[:5].tolist()}")
+        return keys
 
 
 @dataclass
 class SampleBuffer:
-    """One send buffer emitted by the storage (gRPC-streaming analog)."""
+    """One send buffer emitted by the storage (gRPC-streaming analog).
+
+    Samples come in file order, not request order: ``rows[i]`` is the
+    position in the request of sample ``i``, so a caller picks its
+    per-request values (weights) with ``values[buf.rows]``.
+    """
 
     keys: np.ndarray  # int64
     labels: np.ndarray  # int64
     payloads: Payloads
+    rows: np.ndarray  # int64, positions in the request
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -103,11 +143,11 @@ class SampleBuffer:
         """One buffer holding ``buffers`` in order (payloads: one copy)."""
         if len(buffers) == 1:
             return buffers[0]
-        empty = [np.empty(0, np.int64)]
         return SampleBuffer(
-            np.concatenate([b.keys for b in buffers] or empty),
-            np.concatenate([b.labels for b in buffers] or empty),
+            np.concatenate([b.keys for b in buffers] or [_EMPTY]),
+            np.concatenate([b.labels for b in buffers] or [_EMPTY]),
             Payloads.concat([b.payloads for b in buffers]),
+            np.concatenate([b.rows for b in buffers] or [_EMPTY]),
         )
 
 
@@ -132,34 +172,9 @@ class Storage:
         self.file_wrapper = file_wrapper
         self.send_buffer_size = send_buffer_size
         self.registry_path = os.path.join(root, "registry")
-        self._files: dict[int, str] = {}  # file_id -> path (one entry per ingested file)
-        self._next_key = 0
-        self._next_file_id = 0
-        self._lock = threading.Lock()  # guards the hot-path index and the ingest lists
+        self._ix = _Index(_EMPTY, _EMPTY, _EMPTY, _EMPTY, (), (), ())
         self._ingest_lock = threading.Lock()  # serializes ingests
-        # per committed ingest: its first sample key and its registry file
-        self._ingest_starts: list[int] = []
-        self._ingest_files: list[str] = []
-        # In-memory metadata index for the hot path (keys are dense, so
-        # position == sample_key); chunks are consolidated lazily.
-        self._idx_file: list[np.ndarray] = []
-        self._idx_pos: list[np.ndarray] = []
-        self._idx_label: list[np.ndarray] = []
-        self._idx_ts: list[np.ndarray] = []
         os.makedirs(root, exist_ok=True)
-
-    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(file_id, idx, label, timestamp) per sample key."""
-        with self._lock:
-            if len(self._idx_file) > 1:
-                self._idx_file = [np.concatenate(self._idx_file)]
-                self._idx_pos = [np.concatenate(self._idx_pos)]
-                self._idx_label = [np.concatenate(self._idx_label)]
-                self._idx_ts = [np.concatenate(self._idx_ts)]
-            if not self._idx_file:
-                empty = np.empty(0, np.int64)
-                return empty, empty, empty, empty
-            return self._idx_file[0], self._idx_pos[0], self._idx_label[0], self._idx_ts[0]
 
     # ----------------------------------------------------------- ingestion
     def ingest_files(
@@ -183,7 +198,8 @@ class Storage:
         if len(paths) == 0:
             return np.empty(0, np.int64)
         with self._ingest_lock:
-            next_key, next_file_id = self._next_key, self._next_file_id
+            ix = self._ix
+            next_key, next_file_id = len(ix.file_id), len(ix.paths)
             counts = np.empty(len(paths), np.int64)
             labels = []
             for i, path in enumerate(paths):
@@ -208,22 +224,22 @@ class Storage:
                 else np.asarray(timestamps, np.int64),
                 counts,
             )
-            # The registry append is the commit point: the hot-path index
-            # learns the new keys only once the registry holds them, so a
-            # failed write leaves both exactly as they were.
+            # The registry append is the commit point: the next snapshot is
+            # published only once the registry holds its keys, so a failed
+            # write leaves both exactly as they were.
             registry_file = parquet.append(
                 self.registry_path, (keys, file_ids, positions, labels, ts), _REGISTRY_ARROW
             )
-            with self._lock:
-                self._ingest_starts.append(next_key)
-                self._ingest_files.append(registry_file)
-                self._files.update(zip(range(next_file_id, next_file_id + len(paths)), paths))
-                self._idx_file.append(file_ids)
-                self._idx_pos.append(positions)
-                self._idx_label.append(labels)
-                self._idx_ts.append(ts)
-                self._next_key = next_key + n
-                self._next_file_id = next_file_id + len(paths)
+            columns = (file_ids, positions, labels, ts)
+            if next_key:  # the published columns, extended (a copy)
+                published = (ix.file_id, ix.idx, ix.label, ix.ts)
+                columns = [np.concatenate(c) for c in zip(published, columns)]
+            self._ix = _Index(
+                *columns,
+                ix.paths + tuple(paths),
+                ix.ingest_starts + (next_key,),
+                ix.ingest_files + (registry_file,),
+            )
         return keys
 
     def ingest_file(self, path: str, *, timestamp: int = 0) -> np.ndarray:
@@ -246,12 +262,11 @@ class Storage:
         range compiles new classes (tens of ms); this plan's code is the
         same for every key set. Raises ``KeyError`` for unknown keys.
         """
-        with self._lock:
-            files, n = list(self._ingest_files), self._next_key
-            starts = np.asarray(self._ingest_starts, np.int64)
+        ix = self._ix
+        files = ix.ingest_files
         if keys is not None:
-            keys = _known(keys, n)
-            ingests = np.unique(np.searchsorted(starts, keys, side="right") - 1)
+            keys = ix.known(keys)
+            ingests = np.unique(np.searchsorted(ix.ingest_starts, keys, side="right") - 1)
             files = [files[i] for i in ingests.tolist()]
         return parquet.scan(self.spark, files, _REGISTRY_COLUMNS)
 
@@ -262,14 +277,13 @@ class Storage:
         stage's driver-side set-up, not a per-request query). Raises
         ``KeyError`` for unknown keys, as ``lookup`` does.
         """
-        file_by_key = self._index()[0]
-        file_ids = np.unique(file_by_key[_known(keys, len(file_by_key))])
-        with self._lock:
-            return {f: self._files[f] for f in file_ids.tolist()}
+        ix = self._ix
+        file_ids = np.unique(ix.file_id[ix.known(keys)])
+        return {f: ix.paths[f] for f in file_ids.tolist()}
 
     @property
     def num_samples(self) -> int:
-        return self._next_key
+        return len(self._ix.file_id)
 
     def get_metadata(self, keys: np.ndarray) -> pd.DataFrame:
         """key -> (file_id, idx, label) for the given keys, via a Spark join.
@@ -301,11 +315,11 @@ class Storage:
         the registry: keys are dense, so a stable sort by timestamp
         keeps keys ascending within a timestamp.
         """
-        _, _, label_by_key, ts_by_key = self._index()
-        order = np.argsort(ts_by_key, kind="stable")
+        ix = self._ix
+        order = np.argsort(ix.ts, kind="stable")
         for start in range(0, len(order), batch_size):
             keys = order[start : start + batch_size].astype(np.int64)
-            yield keys, ts_by_key[keys], label_by_key[keys]
+            yield keys, ix.ts[keys], ix.label[keys]
 
     # ----------------------------------------------------------- retrieval
     def lookup(
@@ -317,51 +331,60 @@ class Storage:
         simulated DB round-trip latency scaling with the request size
         (see module doc). Raises ``KeyError`` for unknown keys.
         """
-        file_by_key, pos_by_key, label_by_key, _ = self._index()
-        keys = _known(keys, len(file_by_key))
+        ix = self._ix
+        keys = ix.known(keys)
         time.sleep(_DB_BASE_S + _DB_PER_KEY_S * len(keys))
-        return file_by_key[keys], pos_by_key[keys], label_by_key[keys]
+        return ix.file_id[keys], ix.idx[keys], ix.label[keys]
 
     def _retrieve_part(
-        self, keys: np.ndarray, out: "queue.Queue[SampleBuffer | None]"
+        self,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        out: "queue.Queue[SampleBuffer | None]",
     ) -> None:
-        """One storage thread: metadata lookup, then the keys sorted by
-        file and cut into send buffers, each filled by one file-wrapper
-        call over its files (paper Fig. 6)."""
+        """One storage thread: metadata lookup of ``keys[rows]``, then the
+        hits sorted by file and cut into send buffers, each filled by one
+        file-wrapper call over its files (paper Fig. 6)."""
+        keys = keys[rows]
         file_ids, positions, labels = self.lookup(keys)
+        # taken after the lookup, so it holds every file id the lookup saw
+        paths = self._ix.paths
         order = np.lexsort((positions, file_ids))  # sorted by file
-        keys, file_ids, positions, labels = (
-            keys[order], file_ids[order], positions[order], labels[order]
+        keys, rows, file_ids, positions, labels = (
+            keys[order], rows[order], file_ids[order], positions[order], labels[order]
         )
         for lo in range(0, len(keys), self.send_buffer_size):
             hi = lo + self.send_buffer_size
             run_files, run_positions = file_runs(file_ids[lo:hi], positions[lo:hi])
             payloads = self.file_wrapper.get_samples_of_files(
-                [self._files[f] for f in run_files], run_positions
+                [paths[f] for f in run_files], run_positions
             )
-            out.put(SampleBuffer(keys[lo:hi], labels[lo:hi], payloads))
+            out.put(SampleBuffer(keys[lo:hi], labels[lo:hi], payloads, rows[lo:hi]))
 
     def retrieve_stream(
         self, keys: np.ndarray, *, storage_threads: int = 1
     ) -> Iterator[SampleBuffer]:
         """Stream send buffers for an arbitrary key set.
 
-        The key list is split into ``storage_threads`` equal parts; each
-        part is a task on the global I/O pool running its own metadata
-        query + file reads. Buffers are yielded as they become available
-        (the trainer "fetches data as soon as available", §4.2.1).
+        The request's positions are split into ``storage_threads`` equal
+        runs; each is a task on the global I/O pool running its own
+        metadata query + file reads. Buffers are yielded as they become
+        available (the trainer "fetches data as soon as available",
+        §4.2.1), each with its samples' request positions (``rows``).
         """
         keys = np.asarray(keys, np.int64)
         if storage_threads < 1:
             raise ValueError("storage_threads must be >= 1")
         if len(keys) == 0:
             return
-        parts = [p for p in np.array_split(keys, storage_threads) if len(p)]
+        parts = [
+            p for p in np.array_split(np.arange(len(keys)), storage_threads) if len(p)
+        ]
         out: "queue.Queue[SampleBuffer | None]" = queue.Queue()
 
-        def _run(part: np.ndarray) -> None:
+        def _run(rows: np.ndarray) -> None:
             try:
-                self._retrieve_part(part, out)
+                self._retrieve_part(keys, rows, out)
             finally:
                 out.put(None)
 
@@ -379,7 +402,8 @@ class Storage:
     def get_samples(
         self, keys: np.ndarray, *, storage_threads: int = 1
     ) -> SampleBuffer:
-        """All requested samples as one buffer (order not guaranteed)."""
+        """All requested samples as one buffer, in storage order: ``rows``
+        gives each sample's position in the request."""
         return SampleBuffer.concat(
             list(self.retrieve_stream(keys, storage_threads=storage_threads))
         )

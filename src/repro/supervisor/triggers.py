@@ -56,7 +56,9 @@ class TimeTrigger(Trigger):
     non-decreasing. The first sample at-or-past a boundary *opens* the
     next trigger window, so the trigger fires just before it (index
     ``i - 1``, or ``-1`` if it is the batch's first sample). Multiple
-    empty intervals collapse into a single trigger (no empty trainings).
+    empty intervals collapse into a single trigger (no empty trainings),
+    and a first sample past the first boundary opens the window holding
+    it rather than firing.
     """
 
     def __init__(self, *, every: int, start_timestamp: int | None = None) -> None:
@@ -79,9 +81,9 @@ class TimeTrigger(Trigger):
             if self._next_boundary is None:
                 base = self.start if self.start is not None else ts
                 self._next_boundary = base + self.every
-                continue
-            if ts >= self._next_boundary:
+            elif ts >= self._next_boundary:
                 out.append(i - 1)
-                while self._next_boundary <= ts:
-                    self._next_boundary += self.every
+            if ts >= self._next_boundary:  # the first boundary past ``ts``
+                past = (ts - self._next_boundary) // self.every + 1
+                self._next_boundary += past * self.every
         return out

@@ -179,20 +179,18 @@ class _Loader:
         self, p: int, worker_id: int, out: "queue.Queue", stop: threading.Event
     ) -> None:
         """One partition fetch: keys from selector, payload stream from
-        storage; emits (SampleBuffer, weights sorted by key) per send
+        storage; emits (SampleBuffer, its samples' weights) per send
         buffer, then a sentinel. Returns early once ``stop`` is set."""
         try:
             keys, weights = self.selector.get_worker_samples(
                 self.trigger_id, p, worker_id, self.config.num_workers
             )
-            order = np.argsort(keys)  # vectorized alignment via searchsorted
-            by_key = (keys[order], weights[order])
             for buf in self.storage.retrieve_stream(
                 keys, storage_threads=self.config.storage_threads
             ):
                 if stop.is_set():
                     return
-                out.put((buf, by_key))
+                out.put((buf, weights[buf.rows]))
             out.put(None)
         except BaseException as e:
             out.put(e)
@@ -216,9 +214,8 @@ class _Loader:
         while (item := get_or_stop(stream, stop)) is not None:
             if isinstance(item, BaseException):
                 raise item
-            buf, (w_keys, w_vals) = item
+            buf, weights = item
             arr = self.batch_bytes_parser(buf.payloads)
-            weights = w_vals[np.searchsorted(w_keys, buf.keys)]
             for cols in rebatch.add(arr, buf.labels, weights, buf.keys):
                 emit(Batch(*cols))
 

@@ -139,13 +139,9 @@ class Trainer:
         sel_keys = keys[idx]
         sel_weights = np.asarray(weights, np.float64)[idx] * imp
         buffer = storage.get_samples(sel_keys, storage_threads=storage_threads)
-        # the buffer's order is not the request's: align weights by key
-        # (a key drawn twice carries the same weight both times)
-        order = np.argsort(sel_keys)
-        at = np.searchsorted(sel_keys[order], buffer.keys)
         dataset = InMemoryDataset(
             buffer,
-            sel_weights[order][at],
+            sel_weights[buffer.rows],  # each draw keeps its own weight
             batch_size=batch_size,
             batch_bytes_parser=batch_bytes_parser,
             shuffle_seed=int(self._rng.integers(2**31)),

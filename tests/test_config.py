@@ -63,6 +63,28 @@ class TestFromDict:
         with pytest.raises(ValueError, match="batch_size"):
             PipelineConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "training",
+        [
+            {"dataloader_workers": 0},
+            {"prefetched_partitions": -1},
+            {"parallel_prefetch_requests": 0},
+            {"storage_threads": 0},
+            {"epochs": 0},
+        ],
+    )
+    def test_bad_training_settings_rejected_when_built(self, training):
+        d = dict(MINIMAL)
+        d["training"] = training
+        with pytest.raises(ValueError, match=">= "):
+            PipelineConfig.from_dict(d)
+
+    def test_pipeline_builds_its_dataset_config_from_training(self):
+        d = dict(MINIMAL)
+        d["training"] = {"batch_size": 64, "dataloader_workers": 3, "storage_threads": 2}
+        got = PipelineConfig.from_dict(d).training.dataset_config()
+        assert (got.batch_size, got.num_workers, got.storage_threads) == (64, 3, 2)
+
     def test_bad_partition_size_rejected(self):
         d = dict(MINIMAL)
         d["selection"] = {"partition_size": 0}

@@ -67,16 +67,6 @@ class TestSampling:
         assert len(idx) == 45
         assert (idx >= 0).all() and (idx < 50).all()
 
-    def test_explicit_n_keep(self, rng):
-        ds = UniformDownsampler(ratio=0.5)
-        idx, _ = ds.sample(np.ones(100), rng=rng, n_keep=7)
-        assert len(idx) == 7
-
-    def test_n_keep_capped_at_population(self, rng):
-        ds = UniformDownsampler(ratio=1.0)
-        idx, _ = ds.sample(np.ones(5), rng=rng, n_keep=50)
-        assert len(idx) == 5
-
     def test_empty_scores_sample_nothing(self, rng):
         idx, w = GradNormDownsampler(ratio=0.5).sample(np.empty(0), rng=rng)
         assert idx.dtype == np.int64 and len(idx) == 0 and len(w) == 0

@@ -212,6 +212,24 @@ class TestWeights:
         assert got == {int(k): k / 10.0 for k in keys}
 
 
+    def test_key_listed_twice_delivers_each_weight_once(self, criteo_storage, tmp_path):
+        backend = LocalMetadataBackend(str(tmp_path / "meta"))
+        strat = NewDataStrategy(backend, partition_size=500)
+        sel = Selector("twice", strat, TriggerSampleStorage(str(tmp_path / "tss")))
+        keys = np.array([5, 40, 5, 7, 40])
+        weights = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        sel.tss.persist("twice", 0, [(keys, weights)])
+        sel.current_trigger = 1
+        cfg = OnlineDatasetConfig(batch_size=2, num_workers=1, storage_threads=2)
+        ds = OnlineDataset(
+            criteo_storage, sel, 0, cfg, batch_bytes_parser=criteo_batch_parser
+        )
+        got = sorted(
+            (k, w) for b in ds.batches() for k, w in zip(b.keys.tolist(), b.weights.tolist())
+        )
+        assert got == sorted(zip(keys.tolist(), weights.tolist()))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kw",

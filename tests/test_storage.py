@@ -4,6 +4,8 @@ Registry correctness is cross-checked against DuckDB via the oracle;
 payload retrieval is checked byte-for-byte against the generator.
 """
 import os
+import sys
+import threading
 
 import numpy as np
 import pandas as pd
@@ -203,10 +205,69 @@ class TestRetrieval:
         with pytest.raises(ValueError):
             criteo_storage.get_samples(np.arange(3), storage_threads=0)
 
-    def test_duplicate_keys_rejected_via_metadata(self, criteo_storage):
-        # duplicate requested keys yield more hits than keys -> error path
-        meta = criteo_storage.get_metadata(np.array([1, 2, 3]))
-        assert len(meta) == 3
+    def test_metadata_of_repeated_keys_agrees_with_lookup(self, criteo_storage):
+        keys = np.array([1, 1, 2])
+        meta = criteo_storage.get_metadata(keys).sort_values("sample_key")
+        assert meta["sample_key"].tolist() == keys.tolist()
+        file_ids, positions, labels = criteo_storage.lookup(keys)
+        assert meta["file_id"].tolist() == file_ids.tolist()
+        assert meta["idx"].tolist() == positions.tolist()
+        assert meta["label"].tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_buffer_rows_are_request_positions(self, criteo_storage, monkeypatch, threads):
+        monkeypatch.setattr(criteo_storage, "send_buffer_size", 16)
+        rng = np.random.default_rng(threads)
+        request = rng.permutation(np.concatenate([np.arange(0, 600, 3), np.arange(0, 90, 9)]))
+        bufs = list(criteo_storage.retrieve_stream(request, storage_threads=threads))
+        for buf in bufs:
+            assert len(buf) <= 16
+            assert np.array_equal(buf.keys, request[buf.rows])
+            assert np.array_equal(buf.labels, criteo_storage.lookup(buf.keys)[2])
+        rows = np.concatenate([b.rows for b in bufs])
+        assert np.array_equal(np.sort(rows), np.arange(len(request)))
+        whole = criteo_storage.get_samples(request, storage_threads=threads)
+        assert np.array_equal(whole.keys, request[whole.rows])
+
+
+def test_readers_see_whole_ingests_while_one_thread_ingests(spark, tmp_path):
+    paths, days = generate_criteo_files(
+        str(tmp_path / "d"), n_samples=600, samples_per_file=10
+    )
+    st = Storage(spark, str(tmp_path / "s"), BinaryFileWrapper(CRITEO_DTYPE))
+    done, errors, reads = threading.Event(), [], []
+
+    def read() -> None:
+        try:
+            while not done.is_set():
+                keys = np.arange(st.num_samples)
+                by_file = st.file_paths(keys)  # at once: no sleep in between
+                file_ids, _, _ = st.lookup(keys)
+                assert sorted(by_file) == np.unique(file_ids).tolist()
+                assert all(by_file[f] == paths[f] for f in by_file)
+                reads.append(len(keys))
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    n_readers = len(os.sched_getaffinity(0)) + 2  # more threads than cores
+    readers = [threading.Thread(target=read) for _ in range(n_readers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in readers:
+            t.start()
+        for lo in range(0, len(paths), 2):  # 30 ingests of 2 files
+            st.ingest_files(paths[lo : lo + 2], timestamps=days[lo : lo + 2])
+    finally:
+        done.set()
+        for t in readers:
+            t.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert errors == []
+    assert any(0 < n < 600 for n in reads)  # a read saw a part of the ingests
+    assert st.num_samples == 600
+    assert len(st.file_paths(np.arange(600))) == 60
 
 
 class TestReplayStream:

@@ -60,6 +60,11 @@ class TestTimeTrigger:
         # next boundary is now 50
         assert _inform(t, [49, 50]) == [0]
 
+    def test_first_sample_past_the_first_boundary_opens_its_window(self):
+        t = TimeTrigger(every=1, start_timestamp=2004)
+        # 2004 and 2005 are empty: the 2006 samples train together
+        assert _inform(t, [2006, 2006, 2006, 2007, 2007, 2008]) == [2, 4]
+
     def test_start_defaults_to_first_timestamp(self):
         t = TimeTrigger(every=5)
         assert _inform(t, [100, 104, 105]) == [1]
