@@ -1,23 +1,9 @@
-"""Core orchestration: pipeline configs, pluggable registries, and the
-end-to-end pipeline executor (paper §3.4/§3.5).
+"""Core orchestration: pipeline configs (``repro.core.config``),
+pluggable registries (``repro.core.registry``) and the end-to-end
+pipeline executor (``repro.core.pipeline``), paper §3.4/§3.5.
 
-``Pipeline`` is exported lazily: submodules across the codebase import
-``repro.core.registry`` at import time, and an eager re-export of
-``repro.core.pipeline`` here would close an import cycle back through
-the selector/trainer packages.
+Nothing is re-exported here: submodules across the codebase import
+``repro.core.registry`` at import time, and importing
+``repro.core.pipeline`` from this package would close an import cycle
+back through the selector and trainer packages.
 """
-from repro.core.registry import Registry
-
-__all__ = ["PipelineConfig", "Pipeline", "PipelineResult", "Registry"]
-
-
-def __getattr__(name: str):
-    if name == "PipelineConfig":
-        from repro.core.config import PipelineConfig
-
-        return PipelineConfig
-    if name in ("Pipeline", "PipelineResult"):
-        from repro.core import pipeline
-
-        return getattr(pipeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -111,18 +111,29 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError("training.epochs must be >= 1")
         self.dataset_config()  # checks the data-path knobs
 
     def dataset_config(self) -> OnlineDatasetConfig:
-        """The OnlineDataset's knobs, checked where they are built."""
-        return OnlineDatasetConfig(
-            batch_size=self.batch_size,
-            num_workers=self.dataloader_workers,
-            prefetched_partitions=self.prefetched_partitions,
-            parallel_prefetch_requests=self.parallel_prefetch_requests,
-            storage_threads=self.storage_threads,
-        )
+        """The OnlineDataset's knobs, checked where they are built; a bad
+        one is reported under its training key."""
+        fields = {name: getattr(self, key) for key, name in _DATASET_FIELDS.items()}
+        try:
+            return OnlineDatasetConfig(**fields)
+        except ValueError as e:
+            name, rest = str(e).split(" ", 1)
+            key = next(k for k, n in _DATASET_FIELDS.items() if n == name)
+            raise ValueError(f"training.{key} {rest}") from None
+
+
+#: each training key that sets an ``OnlineDatasetConfig`` field -> that field
+_DATASET_FIELDS = {
+    "batch_size": "batch_size",
+    "dataloader_workers": "num_workers",
+    "prefetched_partitions": "prefetched_partitions",
+    "parallel_prefetch_requests": "parallel_prefetch_requests",
+    "storage_threads": "storage_threads",
+}
 
 
 @dataclass

@@ -78,10 +78,8 @@ class Pipeline:
         sel = self.config.selection
         root = os.path.join(self.workdir, "selector_meta")
         if sel.storage_backend == "spark":
-            return SparkMetadataBackend(
-                self.spark, root, pipeline_id=self.config.pipeline_id
-            )
-        return LocalMetadataBackend(root, pipeline_id=self.config.pipeline_id)
+            return SparkMetadataBackend(self.spark, root)
+        return LocalMetadataBackend(root)
 
     def _build_selector(self) -> Selector:
         sel = self.config.selection
@@ -105,9 +103,7 @@ class Pipeline:
         ds_cfg = self.config.selection.downsampling_config
         downsampler = None
         if ds_cfg is not None:
-            downsampler = DOWNSAMPLERS.get(ds_cfg.name)(
-                ratio=ds_cfg.ratio, seed=tr.seed
-            )
+            downsampler = DOWNSAMPLERS.get(ds_cfg.name)(ratio=ds_cfg.ratio)
         return Trainer(
             model,
             lr=tr.lr,

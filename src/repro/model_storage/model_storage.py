@@ -44,8 +44,8 @@ class ModelStorage:
         self.full_every = int(full_every)
         self.full = FullModelStrategy()
         self.incremental = WeightsDifferenceStrategy()
+        # insertion (store) order defines the delta chain
         self._catalog: dict[int, StoredModelInfo] = {}
-        self._order: list[int] = []  # store order defines the delta chain
         self._last: State | None = None  # the latest stored state: the next base
         self._lock = threading.Lock()
         os.makedirs(root, exist_ok=True)
@@ -58,7 +58,7 @@ class ModelStorage:
             state = {k: np.array(v) for k, v in state.items()}  # callers may reuse theirs
             base = self._last
             use_full = (
-                len(self._order) % self.full_every == 0
+                len(self._catalog) % self.full_every == 0
                 or base is None
                 or not self.incremental.applies(state, base)  # architecture changed
             )
@@ -71,19 +71,19 @@ class ModelStorage:
                 f.write(data)
             info = StoredModelInfo(trigger_id, kind, path, len(data))
             self._catalog[trigger_id] = info
-            self._order.append(trigger_id)
             self._last = state
             return info
 
     def _load_locked(self, trigger_id: int) -> State:
         """Replay the chain from the latest full snapshot at or before
         ``trigger_id`` forward, one delta at a time."""
-        end = self._order.index(trigger_id)
+        order = list(self._catalog)
+        end = order.index(trigger_id)
         start = end
-        while self._catalog[self._order[start]].kind != "full":
+        while self._catalog[order[start]].kind != "full":
             start -= 1
         state: State = {}
-        for t in self._order[start : end + 1]:
+        for t in order[start : end + 1]:
             info = self._catalog[t]
             with open(info.path, "rb") as f:
                 data = f.read()
@@ -105,7 +105,7 @@ class ModelStorage:
 
     @property
     def stored_triggers(self) -> list[int]:
-        return list(self._order)
+        return list(self._catalog)
 
     def total_bytes(self) -> int:
         return sum(i.nbytes for i in self._catalog.values())

@@ -37,11 +37,10 @@ from repro.storage.storage import Storage
 class Downsampler(ABC):
     """Scores samples for importance sampling; ``ratio`` is kept fraction."""
 
-    def __init__(self, *, ratio: float = 0.5, seed: int = 0) -> None:
+    def __init__(self, *, ratio: float = 0.5) -> None:
         if not 0 < ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")
         self.ratio = float(ratio)
-        self.seed = int(seed)
 
     @abstractmethod
     def scores(self, model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:

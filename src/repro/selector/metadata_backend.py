@@ -2,8 +2,8 @@
 
 ``SparkMetadataBackend`` is the Postgres-backend analog: seen samples are
 appended to a Parquet table partitioned by trigger (mirroring the paper's
-per-pipeline/per-trigger Postgres table partitioning, which keeps insert
-performance flat as triggers accumulate), and selection policies are
+per-trigger Postgres table partitioning, which keeps insert performance
+flat as triggers accumulate), and selection policies are
 expressed as Spark SQL / DataFrame queries over it. Appends are written
 from the driver (``repro.storage.parquet``); Spark only reads, one scan
 over the files this backend committed to the requested triggers.
@@ -45,9 +45,10 @@ class MetadataBackend(ABC):
     bucket, so reads touch only those files and ``count`` reads none.
     """
 
-    def __init__(self, root: str, pipeline_id: str) -> None:
-        # Partition by pipeline first, then trigger — the paper's layout.
-        self.root = os.path.join(root, f"pipeline={pipeline_id}")
+    def __init__(self, root: str) -> None:
+        # One backend serves one pipeline; its buckets sit directly
+        # under ``root``, one ``trigger_id=<t>`` directory per trigger.
+        self.root = root
         # trigger id -> (file, rows) of each file committed, in persist order
         self._files: dict[int, list[tuple[str, int]]] = {}
         self._lock = threading.Lock()
@@ -99,8 +100,8 @@ class SparkMetadataBackend(MetadataBackend):
     queries return the same rows in the same order and compile nothing.
     """
 
-    def __init__(self, spark: SparkSession, root: str, *, pipeline_id: str = "p0"):
-        super().__init__(root, pipeline_id)
+    def __init__(self, spark: SparkSession, root: str):
+        super().__init__(root)
         self.spark = spark.newSession()
         self.spark.conf.set("spark.sql.codegen.wholeStage", "false")
         self.spark.conf.set("spark.sql.codegen.factoryMode", "NO_CODEGEN")
@@ -143,8 +144,8 @@ class LocalMetadataBackend(MetadataBackend):
     sums their sizes, neither listing nor reading the directory.
     """
 
-    def __init__(self, root: str, *, pipeline_id: str = "p0", n_threads: int = 4):
-        super().__init__(root, pipeline_id)
+    def __init__(self, root: str, *, n_threads: int = 4):
+        super().__init__(root)
         self.n_threads = max(1, int(n_threads))
 
     def persist(self, trigger_id, keys, labels, timestamps) -> None:

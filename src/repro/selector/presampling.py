@@ -119,9 +119,10 @@ class NewDataStrategy(PresamplingStrategy):
 class UniformRandomStrategy(PresamplingStrategy):
     """Uniform random subset: ``fraction`` of in-scope data or ``max_samples``.
 
-    On the Spark backend this is the paper's ~20-LOC SQL statement
-    (ORDER BY rand LIMIT m); on the local backend it is an rng.choice.
+    The paper's ~20-LOC SQL statement (ORDER BY rand LIMIT m).
     """
+
+    requires_spark_backend = True
 
     def __init__(
         self,
@@ -144,21 +145,14 @@ class UniformRandomStrategy(PresamplingStrategy):
             m = int(round(total * float(self.fraction)))
         else:
             m = min(int(self.max_samples), total)
-        if isinstance(self.backend, SparkMetadataBackend):
-            pdf = (
-                self.backend.df(scope)
-                .orderBy(F.rand(self.seed + trigger_id))
-                .limit(m)
-                .select("sample_key")
-                .toPandas()
-            )
-            keys = pdf["sample_key"].to_numpy(np.int64)
-        else:
-            g = np.random.default_rng(self.seed + trigger_id)
-            keys = g.choice(
-                self.backend.get(scope)["sample_key"].to_numpy(np.int64),
-                size=m, replace=False,
-            )
+        pdf = (
+            self.backend.df(scope)
+            .orderBy(F.rand(self.seed + trigger_id))
+            .limit(m)
+            .select("sample_key")
+            .toPandas()
+        )
+        keys = pdf["sample_key"].to_numpy(np.int64)
         return keys, np.ones(len(keys))
 
 

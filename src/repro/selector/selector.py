@@ -26,7 +26,11 @@ class TriggerSetInfo:
 
 
 class Selector:
-    """Per-pipeline data-selection frontend."""
+    """Per-pipeline data-selection frontend.
+
+    ``pipeline_id`` names the pipeline the selector serves; its stores
+    hold only that pipeline's data, so they are keyed by trigger alone.
+    """
 
     def __init__(
         self,
@@ -55,29 +59,19 @@ class Selector:
     def trigger(self) -> TriggerSetInfo:
         """Run the selection policy and persist the trigger training set."""
         tid = self.current_trigger
-        n_samples = 0
-
-        def _counted():
-            nonlocal n_samples
-            for keys, weights in self.strategy.select(tid):
-                n_samples += len(keys)
-                yield keys, weights
-
-        n_parts = self.tss.persist(self.pipeline_id, tid, _counted())
+        n_parts, n_samples = self.tss.persist(tid, self.strategy.select(tid))
         self.strategy.post_trigger(tid)
         self.current_trigger += 1
         return TriggerSetInfo(tid, n_samples, n_parts)
 
     def get_num_partitions(self, trigger_id: int) -> int:
-        return self.tss.num_partitions(self.pipeline_id, trigger_id)
+        return self.tss.num_partitions(trigger_id)
 
     def get_worker_samples(
         self, trigger_id: int, partition: int, worker_id: int, num_workers: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """``worker_id``'s share of one partition: (keys, weights)."""
-        return self.tss.get_worker_samples(
-            self.pipeline_id, trigger_id, partition, worker_id, num_workers
-        )
+        return self.tss.get_worker_samples(trigger_id, partition, worker_id, num_workers)
 
     def get_all_samples(self, trigger_id: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.tss.get_all_samples(self.pipeline_id, trigger_id)
+        return self.tss.get_all_samples(trigger_id)

@@ -48,22 +48,20 @@ class TriggerSampleStorage:
     def __init__(self, root: str, *, n_write_threads: int = 4) -> None:
         self.root = root
         self.n_write_threads = max(1, int(n_write_threads))
-        # (pipeline id, trigger id) -> chunks of each partition; every
-        # update is one dict operation, atomic under the GIL
-        self._parts: dict[tuple[str, int], list[list[records.Chunk]]] = {}
+        # trigger id -> chunks of each partition; every update is one dict
+        # operation, atomic under the GIL
+        self._parts: dict[int, list[list[records.Chunk]]] = {}
         os.makedirs(root, exist_ok=True)
 
-    def _trigger_dir(self, pipeline_id: str, trigger_id: int) -> str:
-        return os.path.join(self.root, pipeline_id, f"trigger_{int(trigger_id)}")
+    def _trigger_dir(self, trigger_id: int) -> str:
+        return os.path.join(self.root, f"trigger_{int(trigger_id)}")
 
     # ------------------------------------------------------------- writing
     def persist(
-        self,
-        pipeline_id: str,
-        trigger_id: int,
-        partitions: Iterable[tuple[np.ndarray, np.ndarray]],
-    ) -> int:
-        """Write the trigger training set; returns the number of partitions.
+        self, trigger_id: int, partitions: Iterable[tuple[np.ndarray, np.ndarray]]
+    ) -> tuple[int, int]:
+        """Write the trigger training set; returns its number of partitions
+        and of samples.
 
         ``partitions`` yields ``(keys, weights)`` per partition, and each
         is written as it arrives. The strategies' ``select`` cuts them
@@ -75,8 +73,8 @@ class TriggerSampleStorage:
         that fails part-way leaves no partitions behind for a retry of the
         same trigger id to be mixed with.
         """
-        key = (pipeline_id, int(trigger_id))
-        tdir = self._trigger_dir(pipeline_id, trigger_id)
+        tid = int(trigger_id)
+        tdir = self._trigger_dir(tid)
         tmp = tdir + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp)
@@ -88,23 +86,18 @@ class TriggerSampleStorage:
             parts.append(records.write(tmp, f"partition_{p:06d}", arr, self.n_write_threads))
         # a retry after a later failure (e.g. in post_trigger) persists the
         # same id again; rename cannot replace a non-empty directory
-        self._parts.pop(key, None)
+        self._parts.pop(tid, None)
         shutil.rmtree(tdir, ignore_errors=True)
         os.rename(tmp, tdir)
-        self._parts[key] = parts
-        return len(parts)
+        self._parts[tid] = parts
+        return len(parts), sum(n for chunks in parts for _, n in chunks)
 
     # ------------------------------------------------------------- reading
-    def num_partitions(self, pipeline_id: str, trigger_id: int) -> int:
-        return len(self._parts.get((pipeline_id, int(trigger_id)), ()))
+    def num_partitions(self, trigger_id: int) -> int:
+        return len(self._parts.get(int(trigger_id), ()))
 
     def get_worker_samples(
-        self,
-        pipeline_id: str,
-        trigger_id: int,
-        partition: int,
-        worker_id: int,
-        num_workers: int,
+        self, trigger_id: int, partition: int, worker_id: int, num_workers: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """``worker_id``'s share of a partition as ``(keys, weights)``.
 
@@ -112,25 +105,19 @@ class TriggerSampleStorage:
         worker's slice (the chunk-count/worker-count mismatch assembly the
         paper hides in its C++ extension).
         """
-        parts = self._parts.get((pipeline_id, int(trigger_id)), [])
+        parts = self._parts.get(int(trigger_id), [])
         if not 0 <= partition < len(parts):
-            raise FileNotFoundError(
-                f"no partition {partition} for {pipeline_id}/trigger {trigger_id}"
-            )
+            raise FileNotFoundError(f"no partition {partition} for trigger {trigger_id}")
         chunks = parts[partition]
         start, end = worker_share(sum(n for _, n in chunks), worker_id, num_workers)
-        arr = records.read(
-            self._trigger_dir(pipeline_id, trigger_id), chunks, TSS_DTYPE, start, end
-        )
+        arr = records.read(self._trigger_dir(trigger_id), chunks, TSS_DTYPE, start, end)
         return arr["sample_key"].copy(), arr["weight"].copy()
 
-    def get_all_samples(
-        self, pipeline_id: str, trigger_id: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def get_all_samples(self, trigger_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Whole trigger training set, partition order (for evaluation)."""
-        parts = self._parts.get((pipeline_id, int(trigger_id)), [])
+        parts = self._parts.get(int(trigger_id), [])
         arr = records.read(
-            self._trigger_dir(pipeline_id, trigger_id),
+            self._trigger_dir(trigger_id),
             [chunk for chunks in parts for chunk in chunks], TSS_DTYPE,
         )
         return arr["sample_key"].copy(), arr["weight"].copy()

@@ -242,10 +242,6 @@ class Storage:
             )
         return keys
 
-    def ingest_file(self, path: str, *, timestamp: int = 0) -> np.ndarray:
-        """Register a single payload file (convenience wrapper)."""
-        return self.ingest_files([path], timestamps=[timestamp])
-
     # ----------------------------------------------------------- metadata
     def registry_df(self, keys: np.ndarray | None = None) -> DataFrame:
         """The registry files this ``Storage`` committed, as one Parquet

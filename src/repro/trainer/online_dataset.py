@@ -77,16 +77,19 @@ class OnlineDatasetConfig:
     storage_threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.prefetched_partitions < 0:
-            raise ValueError("prefetched_partitions must be >= 0")
-        if self.parallel_prefetch_requests < 1:
-            raise ValueError("parallel_prefetch_requests must be >= 1")
-        if self.storage_threads < 1:
-            raise ValueError("storage_threads must be >= 1")
+        for name, least in _LEAST.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+
+
+#: the smallest value each ``OnlineDatasetConfig`` field accepts
+_LEAST = {
+    "batch_size": 1,
+    "num_workers": 1,
+    "prefetched_partitions": 0,
+    "parallel_prefetch_requests": 1,
+    "storage_threads": 1,
+}
 
 
 class OnlineDataset:

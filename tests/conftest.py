@@ -9,6 +9,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.selector.metadata_backend import LocalMetadataBackend
+from repro.selector.presampling import NewDataStrategy
+from repro.selector.selector import Selector
+from repro.selector.trigger_sample_storage import TriggerSampleStorage
 from repro.storage.file_wrappers import BinaryFileWrapper, SingleSampleFileWrapper
 from repro.storage.storage import Storage
 from repro.synth_data import (
@@ -38,6 +42,27 @@ def criteo_storage(spark, tmp_path_factory) -> Storage:
     storage = Storage(spark, str(root / "storage"), BinaryFileWrapper(CRITEO_DTYPE))
     storage.ingest_files(paths, timestamps=days)
     return storage
+
+
+@pytest.fixture(scope="session")
+def criteo_selector(criteo_storage):
+    """Factory: ``make(root, partition_size)`` announces every
+    ``criteo_storage`` sample to a ``NewDataStrategy`` selector on the
+    local backend under ``root`` and builds its one trigger set (trigger
+    0) in partitions of ``partition_size``."""
+
+    def make(root, partition_size: int) -> Selector:
+        strategy = NewDataStrategy(
+            LocalMetadataBackend(str(root / "meta")),
+            reset_after_trigger=False,
+            partition_size=partition_size,
+        )
+        selector = Selector("criteo", strategy, TriggerSampleStorage(str(root / "tss")))
+        selector.inform_data(np.arange(CRITEO_N), np.zeros(CRITEO_N), np.zeros(CRITEO_N))
+        selector.trigger()
+        return selector
+
+    return make
 
 
 @pytest.fixture(scope="session")

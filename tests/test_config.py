@@ -76,7 +76,8 @@ class TestFromDict:
     def test_bad_training_settings_rejected_when_built(self, training):
         d = dict(MINIMAL)
         d["training"] = training
-        with pytest.raises(ValueError, match=">= "):
+        (key,) = training  # the error names the pipeline's key, not a dataset field
+        with pytest.raises(ValueError, match=rf"^training\.{key} must be >= "):
             PipelineConfig.from_dict(d)
 
     def test_pipeline_builds_its_dataset_config_from_training(self):

@@ -11,13 +11,8 @@ dataset between passes must stop that stream's threads too.
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.selector.metadata_backend import LocalMetadataBackend
-from repro.selector.presampling import NewDataStrategy
-from repro.selector.selector import Selector
-from repro.selector.trigger_sample_storage import TriggerSampleStorage
 from repro.storage import storage as storage_mod
 from repro.storage.file_wrappers import BinaryFileWrapper
 from repro.storage.local_dataset import LocalDataset
@@ -32,15 +27,8 @@ ONLINE_CONFIGS = [
 
 
 @pytest.fixture(scope="module")
-def selector(criteo_storage, tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("threads")
-    strat = NewDataStrategy(
-        LocalMetadataBackend(str(tmp / "meta")), reset_after_trigger=False, partition_size=400
-    )
-    sel = Selector("threads", strat, TriggerSampleStorage(str(tmp / "tss")))
-    sel.inform_data(np.arange(CRITEO_N), np.zeros(CRITEO_N), np.zeros(CRITEO_N))
-    sel.trigger()
-    return sel
+def selector(criteo_selector, tmp_path_factory):
+    return criteo_selector(tmp_path_factory.mktemp("threads"), partition_size=400)
 
 
 @pytest.fixture(scope="module")

@@ -65,10 +65,9 @@ class TestSparkBackend:
         # own directory, so inserts never touch other triggers
         import os
 
-        b = SparkMetadataBackend(spark, str(tmp_path / "meta"), pipeline_id="px")
+        b = SparkMetadataBackend(spark, str(tmp_path / "meta"))
         _persist_batches(b)
-        root = str(tmp_path / "meta" / "pipeline=px")
-        assert sorted(os.listdir(root)) == ["trigger_id=0", "trigger_id=1"]
+        assert sorted(os.listdir(tmp_path / "meta")) == ["trigger_id=0", "trigger_id=1"]
 
     def test_sql_query_matches_duckdb(self, spark, tmp_path):
         b = SparkMetadataBackend(spark, str(tmp_path / "meta"))
@@ -83,14 +82,6 @@ class TestSparkBackend:
             "SELECT trigger_id, label, count(*) AS n FROM seen GROUP BY trigger_id, label",
             seen=b.df([0, 1]),
         )
-
-    def test_pipelines_isolated(self, spark, tmp_path):
-        a = SparkMetadataBackend(spark, str(tmp_path / "meta"), pipeline_id="a")
-        b = SparkMetadataBackend(spark, str(tmp_path / "meta"), pipeline_id="b")
-        a.persist(0, np.arange(5), np.zeros(5), np.zeros(5))
-        b.persist(0, np.arange(7), np.zeros(7), np.zeros(7))
-        assert a.count([0]) == 5
-        assert b.count([0]) == 7
 
     def test_count_matches_spark_count(self, spark, tmp_path):
         """``count`` is kept on the driver; it must equal a Spark count."""
@@ -127,7 +118,7 @@ class TestLocalBackend:
 
         b = LocalMetadataBackend(str(tmp_path / "meta"), n_threads=4)
         b.persist(0, np.arange(100), np.zeros(100), np.zeros(100))
-        bucket = str(tmp_path / "meta" / "pipeline=p0" / "trigger_id=0")
+        bucket = str(tmp_path / "meta" / "trigger_id=0")
         files = os.listdir(bucket)
         assert len(files) == 4  # one binary chunk per write thread
 

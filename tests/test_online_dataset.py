@@ -10,11 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.selector.metadata_backend import LocalMetadataBackend
+from repro.selector.metadata_backend import LocalMetadataBackend, SparkMetadataBackend
 from repro.selector.presampling import NewDataStrategy, UniformRandomStrategy
 from repro.selector.selector import Selector
 from repro.selector.trigger_sample_storage import TriggerSampleStorage
-from repro.storage.storage import Storage
 from repro.synth_data import criteo_batch_parser
 from repro.trainer import OnlineDataset, OnlineDatasetConfig
 from repro.trainer.online_dataset import _Loader
@@ -22,17 +21,9 @@ from tests.conftest import CRITEO_N
 
 
 @pytest.fixture(scope="module")
-def selector(criteo_storage: Storage, tmp_path_factory):
+def selector(criteo_selector, tmp_path_factory):
     """A selector with one 3000-sample trigger set in 4 partitions."""
-    tmp = tmp_path_factory.mktemp("ods")
-    backend = LocalMetadataBackend(str(tmp / "meta"))
-    strat = NewDataStrategy(backend, reset_after_trigger=False, partition_size=800)
-    sel = Selector("ods", strat, TriggerSampleStorage(str(tmp / "tss")))
-    sel.inform_data(
-        np.arange(CRITEO_N), np.zeros(CRITEO_N), np.zeros(CRITEO_N)
-    )
-    sel.trigger()
-    return sel
+    return criteo_selector(tmp_path_factory.mktemp("ods"), partition_size=800)
 
 
 def _collect(ds):
@@ -200,7 +191,7 @@ class TestWeights:
         keys = np.arange(100)
         sel.inform_data(keys, np.zeros(100), np.zeros(100))
         # bypass strategy: persist custom weights directly
-        sel.tss.persist("w", 0, [(keys, keys.astype(float) / 10.0)])
+        sel.tss.persist(0, [(keys, keys.astype(float) / 10.0)])
         sel.current_trigger = 1
         cfg = OnlineDatasetConfig(batch_size=32, num_workers=2)
         ds = OnlineDataset(
@@ -218,7 +209,7 @@ class TestWeights:
         sel = Selector("twice", strat, TriggerSampleStorage(str(tmp_path / "tss")))
         keys = np.array([5, 40, 5, 7, 40])
         weights = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        sel.tss.persist("twice", 0, [(keys, weights)])
+        sel.tss.persist(0, [(keys, weights)])
         sel.current_trigger = 1
         cfg = OnlineDatasetConfig(batch_size=2, num_workers=1, storage_threads=2)
         ds = OnlineDataset(
@@ -248,9 +239,9 @@ class TestConfigValidation:
 
 class TestSubsetSelection:
     def test_downsampled_trigger_set_only_fetches_selected(
-        self, criteo_storage, tmp_path
+        self, spark, criteo_storage, tmp_path
     ):
-        backend = LocalMetadataBackend(str(tmp_path / "meta"))
+        backend = SparkMetadataBackend(spark, str(tmp_path / "meta"))
         strat = UniformRandomStrategy(
             backend, reset_after_trigger=True, fraction=0.25, partition_size=200
         )
@@ -279,16 +270,8 @@ class TestPrefetchWindow:
     starts while this pass's last partition drains."""
 
     @pytest.fixture(scope="class")
-    def window_selector(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("window")
-        strat = NewDataStrategy(
-            LocalMetadataBackend(str(tmp / "meta")), reset_after_trigger=False,
-            partition_size=300,
-        )
-        sel = Selector("window", strat, TriggerSampleStorage(str(tmp / "tss")))
-        sel.inform_data(np.arange(CRITEO_N), np.zeros(CRITEO_N), np.zeros(CRITEO_N))
-        sel.trigger()
-        return sel
+    def window_selector(self, criteo_selector, tmp_path_factory):
+        return criteo_selector(tmp_path_factory.mktemp("window"), partition_size=300)
 
     @pytest.mark.parametrize("pf,par", WINDOW_CONFIGS)
     def test_fetches_stay_within_the_window(

@@ -14,10 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DataConfig
-from repro.selector.metadata_backend import LocalMetadataBackend
-from repro.selector.presampling import NewDataStrategy
-from repro.selector.selector import Selector
-from repro.selector.trigger_sample_storage import TriggerSampleStorage
 from repro.storage.file_wrappers import (
     BinaryFileWrapper,
     CsvFileWrapper,
@@ -227,15 +223,8 @@ class TestPayloads:
 
 # ------------------------------------------------------- storage + parsers
 @pytest.fixture(scope="module")
-def selector(criteo_storage, tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("payload_sel")
-    strat = NewDataStrategy(
-        LocalMetadataBackend(str(tmp / "meta")), reset_after_trigger=False, partition_size=1000
-    )
-    sel = Selector("payloads", strat, TriggerSampleStorage(str(tmp / "tss")))
-    sel.inform_data(np.arange(CRITEO_N), np.zeros(CRITEO_N), np.zeros(CRITEO_N))
-    sel.trigger()
-    return sel
+def selector(criteo_selector, tmp_path_factory):
+    return criteo_selector(tmp_path_factory.mktemp("payload_sel"), partition_size=1000)
 
 
 class TestSendBuffers:

@@ -205,6 +205,7 @@ class TestPipelineVariants:
             "typo",
             selection={
                 "name": "UniformRandomStrategy",
+                "storage_backend": "spark",
                 "presampling_config": {"fractoin": 0.5},
             },
             evaluation=None,
@@ -218,7 +219,11 @@ class TestPipelineVariants:
         the selector is built, before any data is replayed."""
         cfg = _cloc_config(
             "empty",
-            selection={"name": "UniformRandomStrategy", "presampling_config": {}},
+            selection={
+                "name": "UniformRandomStrategy",
+                "storage_backend": "spark",
+                "presampling_config": {},
+            },
             evaluation=None,
         )
         pipe = Pipeline(spark, cfg, cloc_storage, str(tmp_path / "wd"))

@@ -29,6 +29,11 @@ def backend(request, spark, tmp_path):
     return LocalMetadataBackend(str(tmp_path / "meta"))
 
 
+@pytest.fixture()
+def spark_backend(spark, tmp_path):
+    return SparkMetadataBackend(spark, str(tmp_path / "meta"))
+
+
 def _seed_two_triggers(backend):
     """trigger 0: keys 0..99 (labels k%4); trigger 1: keys 100..139."""
     backend.persist(0, np.arange(100), np.arange(100) % 4, np.zeros(100))
@@ -108,6 +113,10 @@ class TestNewDataStrategy:
 
 
 class TestUniformRandom:
+    @pytest.fixture()
+    def backend(self, spark_backend):
+        return spark_backend  # a SQL strategy: Spark only
+
     def test_fraction_size_exact(self, backend):
         _seed_two_triggers(backend)
         s = UniformRandomStrategy(backend, reset_after_trigger=True, fraction=0.5)
@@ -202,10 +211,14 @@ class TestBalancedStrategies:
         n_t1 = (keys >= 100).sum()
         assert n_t0 == n_t1 == 40  # balanced across triggers
 
-    def test_requires_spark_backend(self, tmp_path):
+    @pytest.mark.parametrize(
+        "cls, settings",
+        [(LabelBalancedStrategy, {}), (UniformRandomStrategy, {"fraction": 0.5})],
+    )
+    def test_requires_spark_backend(self, tmp_path, cls, settings):
         local = LocalMetadataBackend(str(tmp_path / "m"))
         with pytest.raises(TypeError, match="Spark metadata backend"):
-            LabelBalancedStrategy(local)
+            cls(local, **settings)
 
     def test_random_within_groups_varies_by_seed(self, spark, tmp_path):
         b = SparkMetadataBackend(spark, str(tmp_path / "m"))
@@ -262,7 +275,8 @@ class TestGDumb:
 
 
 class TestPolicyScheduler:
-    def test_switches_strategy_by_trigger(self, backend):
+    def test_switches_strategy_by_trigger(self, spark_backend):
+        backend = spark_backend
         _seed_two_triggers(backend)
         all_data = NewDataStrategy(backend, reset_after_trigger=False)
         sampled = UniformRandomStrategy(

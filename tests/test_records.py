@@ -71,15 +71,15 @@ class TestReadersUseRecordedSizes:
 
     def test_trigger_sample_storage(self, tmp_path, no_listing):
         tss = TriggerSampleStorage(str(tmp_path / "tss"), n_write_threads=3)
-        tss.persist("p", 0, [(np.arange(10), np.ones(10)), (np.arange(10, 14), np.ones(4))])
+        tss.persist(0, [(np.arange(10), np.ones(10)), (np.arange(10, 14), np.ones(4))])
         no_listing()
-        assert tss.num_partitions("p", 0) == 2
-        assert tss.num_partitions("p", 1) == 0
-        shares = [tss.get_worker_samples("p", 0, 0, w, 4)[0] for w in range(4)]
+        assert tss.num_partitions(0) == 2
+        assert tss.num_partitions(1) == 0
+        shares = [tss.get_worker_samples(0, 0, w, 4)[0] for w in range(4)]
         assert np.array_equal(np.concatenate(shares), np.arange(10))
-        assert np.array_equal(tss.get_all_samples("p", 0)[0], np.arange(14))
+        assert np.array_equal(tss.get_all_samples(0)[0], np.arange(14))
         with pytest.raises(FileNotFoundError):
-            tss.get_worker_samples("p", 0, 2, 0, 1)
+            tss.get_worker_samples(0, 2, 0, 1)
 
     def test_local_metadata_backend(self, tmp_path, no_listing):
         b = LocalMetadataBackend(str(tmp_path / "meta"), n_threads=3)
@@ -100,7 +100,7 @@ class TestReadersUseRecordedSizes:
         b = LocalMetadataBackend(str(tmp_path / "meta"), n_threads=2)
         b.persist(0, np.arange(5), np.zeros(5), np.zeros(5))
         b.persist(0, np.arange(5, 6), np.zeros(1), np.zeros(1))
-        bucket = tmp_path / "meta" / "pipeline=p0" / "trigger_id=0"
+        bucket = tmp_path / "meta" / "trigger_id=0"
         assert sorted(os.listdir(bucket)) == [
             "seen_000000_chunk_000.bin", "seen_000000_chunk_001.bin", "seen_000002_chunk_000.bin",
         ]

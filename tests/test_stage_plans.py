@@ -246,7 +246,7 @@ class TestJobBudget:
         own, so planning a scan of 33 or more ingests costs one job."""
         paths, _ = years[0]
         for i in range(32):
-            storage.ingest_file(paths[i % PER_YEAR])
+            storage.ingest_files([paths[i % PER_YEAR]])
         assert _spark_jobs(spark, storage.registry_df) == 0
         assert storage.registry_df().count() == storage.num_samples == 32
 

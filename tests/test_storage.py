@@ -72,7 +72,7 @@ class TestIngest:
             str(tmp_path / "d"), n_samples=60, samples_per_file=20
         )
         st = Storage(spark, str(tmp_path / "s"), BinaryFileWrapper(CRITEO_DTYPE))
-        k1 = st.ingest_file(paths[0], timestamp=0)
+        k1 = st.ingest_files(paths[:1])
         assert st.num_samples == 20
         k2 = st.ingest_files(paths[1:], timestamps=days[1:])
         assert st.num_samples == 60

@@ -8,10 +8,6 @@ from repro.selector.downsampling import (
     LossDownsampler,
     UniformDownsampler,
 )
-from repro.selector.metadata_backend import LocalMetadataBackend
-from repro.selector.presampling import NewDataStrategy
-from repro.selector.selector import Selector
-from repro.selector.trigger_sample_storage import TriggerSampleStorage
 from repro.synth_data import criteo_batch_parser
 from repro.trainer import InMemoryDataset, OnlineDataset, OnlineDatasetConfig, Trainer
 from tests.conftest import CRITEO_N
@@ -19,13 +15,8 @@ from tests.test_stage_plans import _spark_jobs
 
 
 @pytest.fixture()
-def selector(criteo_storage, tmp_path):
-    backend = LocalMetadataBackend(str(tmp_path / "meta"))
-    strat = NewDataStrategy(backend, reset_after_trigger=False, partition_size=1000)
-    sel = Selector("tr", strat, TriggerSampleStorage(str(tmp_path / "tss")))
-    sel.inform_data(np.arange(CRITEO_N), np.zeros(CRITEO_N), np.zeros(CRITEO_N))
-    sel.trigger()
-    return sel
+def selector(criteo_selector, tmp_path):
+    return criteo_selector(tmp_path, partition_size=1000)
 
 
 def _dataset(storage, sel, batch_size=512, **kw):

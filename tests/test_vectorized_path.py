@@ -8,10 +8,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.throughput import make_decode_transform
-from repro.selector.metadata_backend import LocalMetadataBackend
-from repro.selector.presampling import NewDataStrategy
-from repro.selector.selector import Selector
-from repro.selector.trigger_sample_storage import TriggerSampleStorage
 from repro.storage.file_wrappers import BinaryFileWrapper
 from repro.storage.local_dataset import LocalDataset
 from repro.synth_data import (
@@ -64,13 +60,8 @@ class TestBatchParsers:
 
 
 @pytest.fixture()
-def selector(criteo_storage, tmp_path):
-    backend = LocalMetadataBackend(str(tmp_path / "meta"))
-    strat = NewDataStrategy(backend, reset_after_trigger=False, partition_size=700)
-    sel = Selector("vec", strat, TriggerSampleStorage(str(tmp_path / "tss")))
-    sel.inform_data(np.arange(CRITEO_N), np.zeros(CRITEO_N), np.zeros(CRITEO_N))
-    sel.trigger()
-    return sel
+def selector(criteo_selector, tmp_path):
+    return criteo_selector(tmp_path, partition_size=700)
 
 
 class TestVectorizedOnlineDataset:
