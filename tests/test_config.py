@@ -66,6 +66,7 @@ class TestFromDict:
     @pytest.mark.parametrize(
         "training",
         [
+            {"batch_size": 0},
             {"dataloader_workers": 0},
             {"prefetched_partitions": -1},
             {"parallel_prefetch_requests": 0},

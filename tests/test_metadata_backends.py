@@ -58,6 +58,21 @@ class TestBackendContract:
         assert backend.count([5]) == 0
         assert len(backend.get([5])) == 0
 
+    def test_pipelines_isolated(self, backend, spark, tmp_path):
+        """Each pipeline builds its backend under its own work directory,
+        so two pipelines' buckets of the same trigger never mix."""
+        root = str(tmp_path / "other_pipeline" / "meta")
+        other = (
+            SparkMetadataBackend(spark, root)
+            if isinstance(backend, SparkMetadataBackend)
+            else LocalMetadataBackend(root)
+        )
+        backend.persist(0, np.arange(5), np.zeros(5), np.zeros(5))
+        other.persist(0, np.arange(100, 107), np.ones(7), np.ones(7))
+        assert backend.count([0]) == len(backend.get([0])) == 5
+        assert sorted(other.get([0])["sample_key"]) == list(range(100, 107))
+        assert other.count([0]) == 7
+
 
 class TestSparkBackend:
     def test_bucket_is_physical_partition(self, spark, tmp_path):

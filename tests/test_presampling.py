@@ -288,6 +288,16 @@ class TestPolicyScheduler:
         assert len(k0) == 100  # trigger 0: all data
         assert len(k1) == 14  # trigger 1: 10% of 140
 
+    def test_switches_scope_by_trigger(self, backend):
+        _seed_two_triggers(backend)
+        everything = NewDataStrategy(backend, reset_after_trigger=False)
+        new_only = NewDataStrategy(backend, reset_after_trigger=True)
+        sched = PolicySchedulerStrategy(backend, [(0, everything), (1, new_only)])
+        k0, _ = _select_all(sched, 0)
+        k1, _ = _select_all(sched, 1)
+        assert sorted(k0.tolist()) == list(range(100))  # trigger 0: all seen
+        assert sorted(k1.tolist()) == list(range(100, 140))  # trigger 1: new only
+
     def test_inform_feeds_all_strategies_once(self, spark, tmp_path):
         b = SparkMetadataBackend(spark, str(tmp_path / "m"))
         s1 = NewDataStrategy(b, reset_after_trigger=False)

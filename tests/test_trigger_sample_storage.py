@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.selector.metadata_backend import LocalMetadataBackend
+from repro.selector.presampling import NewDataStrategy
+from repro.selector.selector import Selector, TriggerSetInfo
 from repro.selector.trigger_sample_storage import (
     TriggerSampleStorage,
     worker_share,
@@ -100,6 +103,15 @@ class TestTriggerSampleStorage:
         assert np.array_equal(k1, np.arange(100, 103))
         assert sorted(os.listdir(tmp_path / "tss")) == ["trigger_0", "trigger_1"]
 
+    def test_pipelines_are_isolated(self, tmp_path):
+        """Each pipeline keeps its trigger sets under its own work directory."""
+        a = TriggerSampleStorage(str(tmp_path / "a" / "tss"))
+        b = TriggerSampleStorage(str(tmp_path / "b" / "tss"))
+        a.persist(0, [(np.arange(5), np.ones(5))])
+        b.persist(0, [(np.arange(7), np.ones(7))])
+        assert len(a.get_all_samples(0)[0]) == 5
+        assert len(b.get_all_samples(0)[0]) == 7
+
     def test_empty_trigger_set(self, tmp_path):
         tss = TriggerSampleStorage(str(tmp_path / "tss"))
         assert tss.persist(0, []) == (0, 0)
@@ -146,3 +158,19 @@ class TestTriggerSampleStorage:
         tss.persist(0, [(keys, weights)])
         ks = [tss.get_worker_samples(0, 0, w, n_workers)[0] for w in range(n_workers)]
         assert np.array_equal(np.concatenate(ks), keys)
+
+
+class TestSelectorTrigger:
+    @pytest.mark.parametrize("n_samples, partition_size, n_partitions", [(40, 7, 6), (0, 10, 0)])
+    def test_info_is_the_persisted_set(self, tmp_path, n_samples, partition_size, n_partitions):
+        """``Selector.trigger`` reports the partition and sample counts of
+        the set the TSS persisted, and the next trigger gets the next id."""
+        strategy = NewDataStrategy(
+            LocalMetadataBackend(str(tmp_path / "meta")), partition_size=partition_size
+        )
+        sel = Selector("p", strategy, TriggerSampleStorage(str(tmp_path / "tss")))
+        sel.inform_data(np.arange(n_samples), np.zeros(n_samples), np.zeros(n_samples))
+        assert sel.trigger() == TriggerSetInfo(0, n_samples, n_partitions)
+        assert sel.get_num_partitions(0) == n_partitions
+        assert len(sel.get_all_samples(0)[0]) == n_samples
+        assert sel.trigger() == TriggerSetInfo(1, 0, 0)
